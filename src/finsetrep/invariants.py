@@ -1,11 +1,28 @@
 """Symmetric-group invariants over the rationals, the induced map between
 invariant subspaces, and the monotonicity / replication checkers.
 
-Invariants at level ``n`` are computed as the image of the averaging
-projector ``(1/n!) sum_sigma act(sigma)`` -- the canonical characteristic-
-zero realization of the coinvariants-to-invariants isomorphism.  The
-averaging sum is accumulated from sparse action columns, so levels up to 7
-stay cheap even for modules a few hundred dimensions wide.
+Invariants at level ``n`` are the image of the averaging projector
+``P = (1/n!) sum_sigma act(sigma)`` -- the canonical characteristic-zero
+realization of the coinvariants-to-invariants isomorphism.  ``P`` is never
+summed: it is computed from the ``n - 1`` adjacent transpositions
+``tau_i`` alone.
+
+* The Coxeter relations ``tau_i^2 = 1``, ``tau_i tau_(i+1) tau_i =
+  tau_(i+1) tau_i tau_(i+1)`` and ``tau_i tau_j = tau_j tau_i``
+  (``|i - j| >= 2``) are checked on the sparse action columns first, so the
+  generators really define an ``S_n`` action; a failure raises
+  :class:`~finsetrep.repmod.FunctorialityError` naming relation and level.
+* ``V^{S_n}`` is the common kernel of the ``tau_i - 1``, intersected one
+  generator at a time; its columns ``B`` span the image of ``P``.
+* The invariant functionals ``Phi`` are the common kernel of the
+  ``tau_i^T - 1``.  Their joint kernel is ``sum_i im(tau_i - 1)``, which is
+  the span of all ``sigma v - v`` and hence exactly the kernel of ``P``.
+* A projector is determined by its image and kernel, so
+  ``P = B (Phi B)^(-1) Phi`` is the averaging projector entry for entry.
+
+The work per level is a handful of eliminations of size ``dims[n]``
+instead of ``n!`` matrix evaluations.  Results are memoized on the module
+itself (``CatModule.memo``) and are freed with it.
 
 The induced map of a set map ``f: [n] -> [n']`` between invariant subspaces
 is ``(average at n') o act(f)`` restricted to the invariants at ``n``,
@@ -21,20 +38,19 @@ induced map between invariant subspaces is a bijection.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .catcore import N, NMor, SetMap, forget, lift
-from .exactla import Matrix, reduce, solve
-from .repmod import permutation_action
+from .catcore import DELTA, N, NMor, SetMap, forget, lift, transposition_map
+from .exactla import ONE, ZERO, Matrix, kernel, reduce, solve
+from .repmod import (
+    FunctorialityError, compose_columns, identity_columns, permutation_action,
+)
 
 
 @dataclass(frozen=True)
 class InvariantBasis:
-    """Basis of the fixed subspace at one level, with the averaging
-    projector that produced it.  Columns are in reduced-echelon order."""
+    """Basis of the fixed subspace at one level, with its averaging
+    projector.  Columns are in reduced-echelon order."""
     level: int
     basis: Matrix       # dims[n] x (invariant dimension)
     projector: Matrix   # dims[n] x dims[n], idempotent
@@ -44,31 +60,77 @@ class InvariantBasis:
         return self.basis.cols
 
 
-def _averaging_projector(V, n):
-    d = V.dims[n]
-    if d == 0:
-        return Matrix.zeros(0, 0)
-    acc = [[0] * d for _ in range(d)]
-    count = 0
-    for values in itertools.permutations(range(1, n + 1)):
-        cols = permutation_action(V, values)
-        for j, col in enumerate(cols):
-            for r, c in col:
-                acc[r][j] += c
-        count += 1
-    inv = Fraction(1, count)
-    return Matrix(d, d, [[x * inv for x in row] for row in acc])
+def _transpositions(V, n):
+    """Sparse columns of ``tau_1 .. tau_(n-1)`` at level ``n``, certified
+    against the Coxeter relations of ``S_n``."""
+    if V.category is DELTA:
+        raise ValueError("Delta modules carry no symmetric-group action")
+    taus = [permutation_action(V, transposition_map(n, i).values) for i in range(1, n)]
+    one = identity_columns(V.dims[n])
+
+    def fail(relation):
+        raise FunctorialityError("Coxeter relation %s fails at level %d" % (relation, n))
+
+    for i, a in enumerate(taus, 1):
+        if compose_columns(a, a) != one:
+            fail("tau_%d^2 = 1" % i)
+        for j in range(i + 1, n):
+            b = taus[j - 1]
+            ab, ba = compose_columns(a, b), compose_columns(b, a)
+            if j == i + 1:
+                if compose_columns(a, ba) != compose_columns(b, ab):
+                    fail("tau_%d tau_%d tau_%d = tau_%d tau_%d tau_%d" % (i, j, i, j, i, j))
+            elif ab != ba:
+                fail("tau_%d tau_%d = tau_%d tau_%d" % (i, j, j, i))
+    return taus
 
 
-@lru_cache(maxsize=None)
+def _minus_identity(cols, d):
+    """Dense ``g - 1`` for the sparse columns of ``g``."""
+    grid = [[ZERO] * d for _ in range(d)]
+    for j, col in enumerate(cols):
+        grid[j][j] -= ONE
+        for r, c in col:
+            grid[r][j] += c
+    return Matrix(d, d, grid)
+
+
+def _common_kernel(mats, d):
+    """Columns spanning the vectors killed by every matrix in ``mats``; the
+    kernels are intersected one matrix at a time."""
+    span = Matrix.identity(d)
+    for m in mats:
+        if not span.cols:
+            break
+        span = span * kernel(m * span)
+    return span
+
+
+def _averaging_projector(moves, basis):
+    """``(1/n!) sum_sigma act(sigma)`` from the moves ``tau_i - 1`` and a
+    basis of their common kernel: ``B (Phi B)^(-1) Phi``."""
+    d, k = basis.rows, basis.cols
+    if k == d:
+        return Matrix.identity(d)
+    if k == 0:
+        return Matrix.zeros(d, d)
+    functionals = _common_kernel([m.transpose() for m in moves], d).transpose()
+    return basis * solve(functionals * basis, functionals)
+
+
 def invariants_basis(V, n):
-    """Invariant subspace of ``V[n]`` via the averaging projector."""
-    if n < 0 or n > V.max_level:
-        raise ValueError("level %d out of range" % n)
-    projector = _averaging_projector(V, n)
-    rref, rank, _ = reduce(projector.transpose())
-    basis = Matrix.from_columns([rref.data[i] for i in range(rank)], V.dims[n])
-    return InvariantBasis(n, basis, projector)
+    """Invariant subspace of ``V[n]`` with its averaging projector."""
+    key = ("invariants", n)
+    got = V.memo.get(key)
+    if got is None:
+        if n < 0 or n > V.max_level:
+            raise ValueError("level %d out of range" % n)
+        d = V.dims[n]
+        moves = [_minus_identity(t, d) for t in _transpositions(V, n)] if d else []
+        rref, rank, _ = reduce(_common_kernel(moves, d).transpose())
+        basis = Matrix.from_columns([rref.data[i] for i in range(rank)], d)
+        got = V.memo[key] = InvariantBasis(n, basis, _averaging_projector(moves, basis))
+    return got
 
 
 def barred_map(V, f):

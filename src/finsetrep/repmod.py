@@ -50,9 +50,11 @@ class CatModule:
     ``dims[n]`` is the dimension of the value at ``[n]`` for every level
     ``0..max_level``; Delta modules have no level 0 and carry ``dims[0] == 0``
     by convention.  Instances are immutable; all evaluation is pure.
+    ``memo`` holds data derived from the module (such as invariant bases),
+    so it is freed together with the module.
     """
 
-    __slots__ = ("category", "max_level", "dims", "name", "_rule", "_elementary")
+    __slots__ = ("category", "max_level", "dims", "name", "memo", "_rule", "_elementary")
 
     def __init__(self, category, max_level, dims, *, columns=None, elementary=None, name=""):
         if not isinstance(category, CategoryTag):
@@ -72,6 +74,7 @@ class CatModule:
         self.max_level = max_level
         self.dims = dims
         self.name = name
+        self.memo = {}
         self._rule = columns
         self._elementary = elementary
 

@@ -132,6 +132,16 @@ def test_arnold_missing_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_invariants_rejects_a_transposition_that_is_not_an_involution(tmp_path, capsys):
+    code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "1", "--max", "3")
+    assert "transp 2 1\n0 1\n1 0\n" in module_text
+    mod_file = tmp_path / "bad.catmod"
+    mod_file.write_text(module_text.replace("transp 2 1\n0 1\n", "transp 2 1\n1 1\n"))
+    code, out, err = run_cli(capsys, "invariants", str(mod_file), "--range", "1..3")
+    assert code == 1 and out == ""
+    assert err.startswith("check failed:") and "level 2" in err
+
+
 def test_invariants_json_payload(tmp_path, capsys):
     code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "2", "--max", "5")
     mod_file = tmp_path / "c2.catmod"

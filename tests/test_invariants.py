@@ -1,14 +1,84 @@
+import gc
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from finsetrep.arnold import arnold_module
 from finsetrep.catcore import N, SetMap, enumerate_hom, lift
-from finsetrep.exactla import Matrix, rank
+from finsetrep.exactla import Matrix, rank, reduce, solve
 from finsetrep.invariants import (
     barred_map, invariants_basis, monotonicity_check, replication_iso_check,
     replication_map,
 )
-from finsetrep.repmod import direct_sum
+from finsetrep.repmod import (
+    CatModule, FunctorialityError, direct_sum, from_elementary, permutation_action,
+    read_module, restrict, to_elementary, write_module,
+)
 from finsetrep.simples import make_simple
+
+
+def averaging_projector(V, n):
+    """The defining sum ``(1/n!) sum_sigma act(sigma)`` over all of ``S_n``:
+    the reference the generator-based computation must reproduce exactly."""
+    d = V.dims[n]
+    if d == 0:
+        return Matrix.zeros(0, 0)
+    acc = [[0] * d for _ in range(d)]
+    count = 0
+    for values in itertools.permutations(range(1, n + 1)):
+        for j, col in enumerate(permutation_action(V, values)):
+            for r, c in col:
+                acc[r][j] += c
+        count += 1
+    inv = Fraction(1, count)
+    return Matrix(d, d, [[x * inv for x in row] for row in acc])
+
+
+def _skewed(V):
+    """``V`` with the basis of every level changed by ``1 + (superdiagonal
+    ones)``: an isomorphic module whose averaging projectors are not
+    orthogonal, unlike those of the permutation modules."""
+    change = {n: Matrix(d, d, [[1 if j in (i, i + 1) else 0 for j in range(d)] for i in range(d)])
+              for n, d in enumerate(V.dims)}
+    undo = {n: solve(s, Matrix.identity(s.rows)) for n, s in change.items()}
+    ends = {"coface": lambda n: (n + 1, n), "codegen": lambda n: (n, n + 1),
+            "transp": lambda n: (n, n)}
+    mats = {}
+    for key, m in to_elementary(V).items():
+        cod, dom = ends[key[0]](key[1])
+        mats[key] = change[cod] * m * undo[dom]
+    return from_elementary(V.category, V.max_level, V.dims, mats, name="skewed " + V.name)
+
+
+def _reference_fixtures():
+    rules = {
+        "C1": make_simple("Ck", 5, k=1),
+        "C2": make_simple("Ck", 5, k=2),
+        "C3": make_simple("Ck", 5, k=3),
+        "D1": make_simple("D1", 5),
+        "H0": arnold_module(0, 5),
+        "H1": arnold_module(1, 5),
+        "H2": arnold_module(2, 5),
+    }
+    fixtures = list(rules.items())
+    fixtures += [(name + " read back", read_module(write_module(V))) for name, V in rules.items()]
+    fixtures.append(("C2+C3", direct_sum(rules["C2"], rules["C3"])))
+    fixtures += [("skewed " + name, _skewed(rules[name])) for name in ("C2", "H1")]
+    return fixtures
+
+
+REFERENCE_FIXTURES = _reference_fixtures()
+
+
+@pytest.mark.parametrize("name,module", REFERENCE_FIXTURES, ids=[name for name, _ in REFERENCE_FIXTURES])
+def test_generators_reproduce_the_averaging_sum(name, module):
+    for n in range(0, 6):
+        expected = averaging_projector(module, n)
+        rref, rk, _ = reduce(expected.transpose())
+        ib = invariants_basis(module, n)
+        assert ib.projector == expected, (name, n)
+        assert ib.basis == Matrix.from_columns([rref.data[i] for i in range(rk)], module.dims[n])
 
 
 def test_invariants_of_c2():
@@ -111,3 +181,48 @@ def test_replication_value_on_plane_module():
 def test_replication_requires_room():
     with pytest.raises(ValueError):
         replication_iso_check(make_simple("Ck", 5, k=2), 3, 2)
+
+
+def test_level_cap_is_gone():
+    assert monotonicity_check(arnold_module(1, 8), range(1, 9)).dims == (0, 1, 1, 1, 1, 1, 1, 1)
+    assert monotonicity_check(make_simple("Ck", 9, k=2), range(1, 10)).dims == (0,) + (1,) * 8
+
+
+def _permutation_matrix(values):
+    n = len(values)
+    return Matrix(n, n, [[1 if values[j] == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("key,values,relation", [
+    (("transp", 2, 1), None, "tau_1^2 = 1 fails at level 2"),
+    (("transp", 3, 2), (1, 2, 3), "tau_1 tau_2 tau_1 = tau_2 tau_1 tau_2 fails at level 3"),
+    (("transp", 4, 3), (1, 3, 2, 4), "tau_1 tau_3 = tau_3 tau_1 fails at level 4"),
+])
+def test_coxeter_relations_are_certified_before_use(key, values, relation):
+    C1 = make_simple("Ck", 4, k=1)
+    mats = to_elementary(C1)
+    mats[key] = Matrix(2, 2, [[1, 1], [1, 0]]) if values is None else _permutation_matrix(values)
+    broken = from_elementary(N, 4, C1.dims, mats)
+    assert invariants_basis(broken, 1).dim == 1
+    with pytest.raises(FunctorialityError) as info:
+        monotonicity_check(broken, range(1, 5))
+    assert str(info.value) == "Coxeter relation " + relation
+
+
+def test_delta_modules_have_no_invariants():
+    V = restrict(make_simple("Ck", 3, k=1), "psi")
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError):
+            invariants_basis(V, n)
+
+
+def test_invariant_bases_die_with_their_module():
+    C2 = make_simple("Ck", 4, k=2)
+    for i in range(50):
+        V = CatModule(N, 4, C2.dims, columns=C2.columns, name="throwaway-%d" % i)
+        assert invariants_basis(V, 3).dim == 1
+    del V
+    gc.collect()
+    alive = [o for o in gc.get_objects()
+             if isinstance(o, CatModule) and o.name.startswith("throwaway-")]
+    assert alive == []
