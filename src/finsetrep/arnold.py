@@ -160,7 +160,7 @@ def arnold_module(degree, max_level, *, certify_trials=300, seed=0):
                 cols.append(())
                 continue
             acc = _straighten(tuple(image))
-            cols.append(tuple(sorted((tgt[w], Fraction(c)) for w, c in acc.items())))
+            cols.append(tuple(sorted((tgt[w], c) for w, c in acc.items())))
         return cols
 
     module = CatModule(F, max_level, dims, columns=columns, name="arnold-h%d" % degree)

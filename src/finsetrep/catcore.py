@@ -67,6 +67,19 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def parse_count(token, what, pos, minimum=0):
+    """``int(token)`` for a count in a text-form header line; a token that is
+    not an integer, or a value below ``minimum``, raises :class:`ParseError`
+    located at ``pos``."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError("%s must be an integer, got %r" % (what, token), pos) from None
+    if value < minimum:
+        raise ParseError("%s must be at least %d, got %d" % (what, minimum, value), pos)
+    return value
+
+
 class SetMap:
     """A map ``[dom] -> [cod]`` given by its value sequence (1-based)."""
 

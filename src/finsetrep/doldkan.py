@@ -28,7 +28,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .catcore import DELTA, DeltaMor, ParseError, coface_map, codegen_map
+from .catcore import (
+    DELTA, DeltaMor, ParseError, coface_map, codegen_map, parse_count,
+)
 from .exactla import (
     ONE, ZERO, Matrix, format_matrix, kernel, parse_matrix, solve, vstack,
 )
@@ -289,11 +291,11 @@ def read_complex(text):
     top_line = take("top line").split()
     if len(top_line) != 2 or top_line[0] != "top":
         raise ParseError("bad top line", pos)
-    top = int(top_line[1])
+    top = parse_count(top_line[1], "top", pos)
     dims_line = take("dims line").split()
     if not dims_line or dims_line[0] != "dims":
         raise ParseError("bad dims line", pos)
-    dims = tuple(int(x) for x in dims_line[1:])
+    dims = tuple(parse_count(x, "dims entry", pos) for x in dims_line[1:])
     if len(dims) != top + 1:
         raise ParseError("dims line must list degrees 0..top", pos)
     diffs = []

@@ -318,6 +318,7 @@ def parse_matrix(lines, rows, cols):
     """
     if len(lines) != rows:
         raise ValueError("expected %d matrix rows, got %d" % (rows, len(lines)))
+    seen = {}       # token -> value; module files repeat a few tokens
     data = []
     for i, line in enumerate(lines):
         tokens = line.split()
@@ -325,9 +326,20 @@ def parse_matrix(lines, rows, cols):
             raise ValueError("matrix row %d: expected %d entries, got %d" % (i + 1, cols, len(tokens)))
         row = []
         for j, tok in enumerate(tokens):
-            try:
-                row.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("matrix row %d, entry %d: bad rational %r" % (i + 1, j + 1, tok)) from None
+            x = seen.get(tok)
+            if x is None:
+                try:
+                    x = seen[tok] = _parse_entry(tok)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError("matrix row %d, entry %d: bad rational %r" % (i + 1, j + 1, tok)) from None
+            row.append(x)
         data.append(tuple(row))
     return Matrix._make(rows, cols, tuple(data))
+
+
+def _parse_entry(tok):
+    """``Fraction(tok)``, with bare decimal integers read by ``int``."""
+    digits = tok[1:] if tok[:1] in "+-" else tok
+    if digits.isdecimal():
+        return Fraction(int(tok))
+    return Fraction(tok)

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catcore import DELTA, N, NMor, SetMap, forget, lift, transposition_map
+from .catcore import (
+    DELTA, N, NMor, SetMap, forget, format_mor, lift, transposition_map,
+)
 from .exactla import ONE, ZERO, Matrix, kernel, reduce, solve
 from .repmod import (
     FunctorialityError, compose_columns, identity_columns, permutation_action,
@@ -149,7 +151,8 @@ def barred_map(V, f):
     image = tgt.projector * (V.act(f) * src.basis)
     coords = solve(tgt.basis, image)
     if coords is None:
-        raise AssertionError("averaged image escaped the invariant subspace")
+        raise FunctorialityError("averaged image of %s escaped the invariants at level %d"
+                                 % (format_mor(f), f.cod))
     return coords
 
 

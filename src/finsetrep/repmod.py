@@ -11,6 +11,15 @@ and evaluated as exact matrices.  Two backends exist:
   adjacent transpositions -- and evaluates arbitrary morphisms through the
   canonical factorization of :func:`finsetrep.catcore.factorize`.
 
+Both backends evaluate a morphism to sparse columns first: for each basis
+vector of the source, the ``(row, coeff)`` pairs of its image.  A coefficient
+is an ``int`` when it is integral and a ``Fraction`` only otherwise, so the
+unit-vector columns that dominate these modules never touch ``Fraction``
+arithmetic; :func:`compose_columns` keeps that form.  An elementary backend
+composes the cached sparse columns of its blocks along the factorization
+chain.  :meth:`CatModule.act` densifies the columns into a
+:class:`~finsetrep.exactla.Matrix`, whose entries are always ``Fraction``.
+
 Well-definedness of an elementary backend is never assumed: it is certified
 by :func:`check_functoriality`, which tests the functor laws on composable
 pairs (exhaustively whenever that is cheap enough, otherwise on a seeded
@@ -32,12 +41,10 @@ from .catcore import (
     DELTA, F, FI, N, CategoryTag, DeltaMor, NMor, ParseError, SetMap,
     category_tag, coface_map, codegen_map, compose_in, enumerate_hom,
     factorize, forget, hom_count, identity_delta, identity_map, identity_n,
-    injection_chain, lift, permutation_chain, random_mor, surjection_chain,
-    transposition_map,
+    injection_chain, lift, parse_count, permutation_chain, random_mor,
+    surjection_chain, transposition_map,
 )
-from .exactla import ONE, ZERO, Matrix, format_matrix, parse_matrix, reduce
-
-_ONE_COL = (0, ONE)
+from .exactla import ZERO, Matrix, format_matrix, parse_matrix, reduce
 
 
 class FunctorialityError(ValueError):
@@ -50,8 +57,9 @@ class CatModule:
     ``dims[n]`` is the dimension of the value at ``[n]`` for every level
     ``0..max_level``; Delta modules have no level 0 and carry ``dims[0] == 0``
     by convention.  Instances are immutable; all evaluation is pure.
-    ``memo`` holds data derived from the module (such as invariant bases),
-    so it is freed together with the module.
+    ``memo`` holds data derived from the module (the sparse columns of the
+    elementary blocks, invariant bases), so it is freed together with the
+    module.
     """
 
     __slots__ = ("category", "max_level", "dims", "name", "memo", "_rule", "_elementary")
@@ -110,37 +118,44 @@ class CatModule:
 
     def columns(self, f):
         """Sparse columns of the acting matrix: for each basis vector of the
-        source, a tuple of ``(row, coeff)`` pairs sorted by row."""
+        source, a tuple of ``(row, coeff)`` pairs sorted by row, with ``coeff``
+        an ``int`` when integral and a ``Fraction`` otherwise."""
         f = self._coerce(f)
         if self._rule is not None:
             return _normalize_columns(self._rule(f), self.dims[f.cod])
-        return _dense_to_columns(self._act_elementary(f))
+        cols = None
+        for key in reversed(self._chain(f)):
+            block = self._block_columns(key)
+            cols = block if cols is None else compose_columns(block, cols)
+        return identity_columns(self.dims[f.dom]) if cols is None else cols
 
     def act(self, f):
         """Dense acting matrix, of shape ``dims[cod] x dims[dom]``."""
-        f = self._coerce(f)
-        if self._elementary is not None:
-            return self._act_elementary(f)
-        cols = _normalize_columns(self._rule(f), self.dims[f.cod])
-        grid = [[ZERO] * self.dims[f.dom] for _ in range(self.dims[f.cod])]
+        cols = self.columns(f)
+        rows, width = self.dims[f.cod], self.dims[f.dom]
+        grid = [[ZERO] * width for _ in range(rows)]
         for j, col in enumerate(cols):
             for r, c in col:
                 grid[r][j] = c
-        return Matrix(self.dims[f.cod], self.dims[f.dom], grid)
+        return Matrix(rows, width, grid)
 
-    def _elementary_matrix(self, key):
-        try:
-            return self._elementary[key]
-        except KeyError:
-            raise FunctorialityError("missing elementary matrix %r" % (key,)) from None
+    def _block_columns(self, key):
+        got = self.memo.get(key)
+        if got is None:
+            try:
+                mat = self._elementary[key]
+            except KeyError:
+                raise FunctorialityError("missing elementary matrix %r" % (key,)) from None
+            cols = [[] for _ in range(mat.cols)]
+            for r, row in enumerate(mat.data):
+                for j, x in enumerate(row):
+                    if x:
+                        cols[j].append((r, _coefficient(x)))
+            got = self.memo[key] = tuple(tuple(col) for col in cols)
+        return got
 
-    def _chain_product(self, keys, source_level):
-        out = Matrix.identity(self.dims[source_level])
-        for kind, n, i in reversed(keys):
-            out = self._elementary_matrix((kind, n, i)) * out
-        return out
-
-    def _act_elementary(self, f):
+    def _chain(self, f):
+        """Elementary keys whose composite is ``f``, outermost first."""
         cat = self.category
         if cat is DELTA:
             sm = f.map
@@ -148,9 +163,8 @@ class CatModule:
             surj = SetMap._raw(sm.dom, len(image),
                                tuple(image.index(v) + 1 for v in sm.values))
             inj = SetMap._raw(len(image), sm.cod, tuple(image))
-            keys = tuple(("coface", n, i) for n, i in injection_chain(inj)) + \
+            return tuple(("coface", n, i) for n, i in injection_chain(inj)) + \
                 tuple(("codegen", n, i) for n, i in surjection_chain(surj))
-            return self._chain_product(keys, sm.dom)
         if cat is N:
             nm = f
         elif cat is FI:
@@ -158,16 +172,22 @@ class CatModule:
         else:
             nm = lift(f, "canonical")
         sigma, pi, iota = factorize(nm)
-        keys = tuple(("coface", n, i) for n, i in injection_chain(iota.map)) + \
+        return tuple(("coface", n, i) for n, i in injection_chain(iota.map)) + \
             tuple(("codegen", n, i) for n, i in surjection_chain(pi.map)) + \
             tuple(("transp", n, i) for n, i in permutation_chain(sigma.map.values))
-        return self._chain_product(keys, f.dom)
+
+
+def _coefficient(c):
+    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _normalize_columns(cols, nrows):
     out = []
     for col in cols:
-        clean = tuple(sorted((r, c if type(c) is Fraction else Fraction(c))
+        clean = tuple(sorted((r, c if type(c) is int else _coefficient(c))
                              for r, c in col if c))
         if any(not 0 <= r < nrows for r, _ in clean):
             raise ValueError("column entry out of range")
@@ -175,29 +195,30 @@ def _normalize_columns(cols, nrows):
     return tuple(out)
 
 
-def _dense_to_columns(mat):
-    cols = [[] for _ in range(mat.cols)]
-    for r, row in enumerate(mat.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j].append((r, x))
-    return tuple(tuple(col) for col in cols)
-
-
 def compose_columns(gcols, fcols):
-    """Sparse columns of ``g`` applied after the columns of ``f``."""
-    out = []
-    for col in fcols:
-        acc = {}
-        for r, c in col:
-            for r2, c2 in gcols[r]:
-                acc[r2] = acc.get(r2, ZERO) + c * c2
-        out.append(tuple(sorted((r, c) for r, c in acc.items() if c)))
-    return tuple(out)
+    """Sparse columns of ``g`` applied after the columns of ``f``.
+
+    An empty column stays empty and a column ``((r, 1),)`` of ``f`` is column
+    ``r`` of ``g`` itself; other columns are accumulated in ``int`` until a
+    ``Fraction`` coefficient enters, and integral results come back as
+    ``int``.
+    """
+    return tuple([col if not col else
+                  gcols[col[0][0]] if len(col) == 1 and col[0][1] == 1 else
+                  _combine(gcols, col) for col in fcols])
+
+
+def _combine(gcols, col):
+    acc = {}
+    for r, c in col:
+        for r2, c2 in gcols[r]:
+            acc[r2] = acc.get(r2, 0) + c * c2
+    return tuple(sorted((r, c if type(c) is int else _coefficient(c))
+                        for r, c in acc.items() if c))
 
 
 def identity_columns(dim):
-    return tuple(((j, ONE),) for j in range(dim))
+    return tuple(((j, 1),) for j in range(dim))
 
 
 def _identity_mor(cat, n):
@@ -527,17 +548,23 @@ def read_module(text, name=""):
     lvl_line = take("max_level line").split()
     if len(lvl_line) != 2 or lvl_line[0] != "max_level":
         raise ParseError("bad max_level line", pos)
-    max_level = int(lvl_line[1])
+    max_level = parse_count(lvl_line[1], "max_level", pos, minimum=1)
     dims_line = take("dims line").split()
     if not dims_line or dims_line[0] != "dims":
         raise ParseError("bad dims line", pos)
-    dims = tuple(int(x) for x in dims_line[1:])
+    dims = tuple(parse_count(x, "dims entry", pos) for x in dims_line[1:])
     if len(dims) != max_level + 1:
         raise ParseError("dims line must list levels 0..max_level", pos)
+    if category is DELTA and dims[0] != 0:
+        raise ParseError("Delta modules carry dims[0] == 0", pos)
     matrices = {}
     for key in elementary_keys(category, max_level):
         header = take("matrix header").split()
-        if len(header) != 3 or (header[0], int(header[1]), int(header[2])) != key:
+        try:
+            got = (header[0], int(header[1]), int(header[2])) if len(header) == 3 else None
+        except ValueError:
+            got = None
+        if got != key:
             raise ParseError("expected matrix block %r, got %r" % (key, " ".join(header)), pos)
         rows, cols = elementary_shape(dims, key)
         block = [take("matrix row") for _ in range(rows)]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .catcore import N, enumerate_hom, format_mor
-from .exactla import ONE, Fraction
 from .repmod import CatModule
 
 
@@ -50,7 +49,7 @@ def make_simple(which, max_level, *, k=None):
             for subset in bases[f.map.dom]:
                 image = frozenset(values[x - 1] for x in subset)
                 if len(image) == k:
-                    cols.append(((tgt[tuple(sorted(image))], ONE),))
+                    cols.append(((tgt[tuple(sorted(image))], 1),))
                 else:
                     cols.append(())
             return cols
@@ -62,7 +61,7 @@ def make_simple(which, max_level, *, k=None):
 
         def columns(f):
             if f.map.dom == 0 and f.map.cod == 0:
-                return (((0, ONE),),)
+                return (((0, 1),),)
             return ((),) * dims[f.map.dom]
 
         return CatModule(N, max_level, dims, columns=columns, name="D0")
@@ -72,7 +71,7 @@ def make_simple(which, max_level, *, k=None):
 
         def columns(f):
             if f.map.dom >= 1 and f.map.cod >= 1:
-                return (((0, ONE),),)
+                return (((0, 1),),)
             return ((),) * dims[f.map.dom]
 
         return CatModule(N, max_level, dims, columns=columns, name="D1")
@@ -103,7 +102,7 @@ def order_sign_module(max_level):
         sign = 1
         for fib in f.fiber_orders:
             sign *= _parity(fib)
-        return (((0, Fraction(sign)),),)
+        return (((0, sign),),)
 
     return CatModule(N, max_level, dims, columns=columns, name="order-sign")
 

@@ -180,3 +180,57 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "run_all", lambda seed: canned)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1 and "FAIL" in out
+
+
+def test_replicate_on_a_corrupted_module_is_a_check_failure(tmp_path, capsys):
+    code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "1", "--max", "4")
+    assert "transp 2 1\n0 1\n1 0\n" in module_text
+    mod_file = tmp_path / "bad.catmod"
+    mod_file.write_text(module_text.replace("transp 2 1\n0 1\n", "transp 2 1\n1 1\n"))
+    code, out, err = run_cli(capsys, "replicate", str(mod_file), "--n", "2", "--m", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("check failed:") and "Traceback" not in err
+
+
+def _malformed(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def test_malformed_module_headers_exit_2_with_a_location(tmp_path, capsys):
+    _, text, _ = run_cli(capsys, "simple", "Ck", "--k", "1", "--max", "3")
+    cases = (
+        ("max_level 3\n", "max_level three\n", "max_level must be an integer"),
+        ("max_level 3\n", "max_level 2.5\n", "max_level must be an integer"),
+        ("max_level 3\n", "max_level 0\ndims 0\n", "max_level must be at least 1"),
+        ("dims 0 1 2 3\n", "dims 0 1 x 3\n", "dims entry must be an integer"),
+        ("dims 0 1 2 3\n", "dims 0 1 -2 3\n", "dims entry must be at least 0"),
+        ("coface 1 1\n", "coface one 1\n", "expected matrix block"),
+        ("coface 1 1\n", "coface 1 1.0\n", "expected matrix block"),
+    )
+    mod_file = tmp_path / "bad.catmod"
+    for old, new, message in cases:
+        mod_file.write_text(_malformed(text, old, new))
+        code, out, err = run_cli(capsys, "char", str(mod_file), "--n", "2")
+        assert code == 2 and out == "", new
+        assert err.startswith("error: ") and message in err and "(at offset " in err, err
+        assert "invalid literal" not in err
+
+
+def test_malformed_cochain_headers_exit_2_with_a_location(tmp_path, capsys):
+    text = "cochain/1\ntop 1\ndims 1 1\nd 0\n1\n"
+    cx_file = tmp_path / "bad.cochain"
+    cases = (
+        ("top 1\n", "top one\n", "top must be an integer"),
+        ("top 1\n", "top -1\n", "top must be at least 0"),
+        ("dims 1 1\n", "dims 1 y\n", "dims entry must be an integer"),
+    )
+    for old, new, message in cases:
+        cx_file.write_text(_malformed(text, old, new))
+        code, out, err = run_cli(capsys, "doldkan", "realize", str(cx_file), "--max", "3")
+        assert code == 2 and out == "", new
+        assert err.startswith("error: ") and message in err and "(at offset " in err, err
+        assert "invalid literal" not in err
+    cx_file.write_text(text)
+    code, out, _ = run_cli(capsys, "doldkan", "realize", str(cx_file), "--max", "3")
+    assert code == 0 and out.startswith("catmod/1\ncategory Delta\n")

@@ -116,3 +116,23 @@ def test_parse_matrix_errors():
         parse_matrix(["1 2", "3"], 2, 2)
     with pytest.raises(ValueError):
         parse_matrix(["1 x"], 1, 2)
+
+
+# every token parse_matrix accepts must read as Fraction(token), and every
+# token it rejects must be one Fraction rejects
+MATRIX_TOKENS = ("0", "1", "-3", "+4", "-0", "007", "1/2", "-6/4", "1.5", "1e2",
+                 "1_0", "0/0", "x", "-", "+", "+-3", "1/", "²", "٣", "-٣", "１")
+
+
+@pytest.mark.parametrize("tok", MATRIX_TOKENS)
+def test_parse_matrix_reads_tokens_as_fraction_does(tok):
+    try:
+        expected = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as info:
+            parse_matrix(["0 " + tok], 1, 2)
+        assert str(info.value) == "matrix row 1, entry 2: bad rational %r" % tok
+        return
+    got = parse_matrix([tok + " " + tok], 1, 2)
+    assert got.data == ((expected, expected),)
+    assert all(type(x) is Fraction for x in got.data[0])

@@ -8,8 +8,8 @@ from finsetrep.arnold import arnold_module
 from finsetrep.catcore import N, SetMap, enumerate_hom, lift
 from finsetrep.exactla import Matrix, rank, reduce, solve
 from finsetrep.invariants import (
-    barred_map, invariants_basis, monotonicity_check, replication_iso_check,
-    replication_map,
+    InvariantBasis, barred_map, invariants_basis, monotonicity_check,
+    replication_iso_check, replication_map,
 )
 from finsetrep.repmod import (
     CatModule, FunctorialityError, direct_sum, from_elementary, permutation_action,
@@ -207,6 +207,14 @@ def test_coxeter_relations_are_certified_before_use(key, values, relation):
     with pytest.raises(FunctorialityError) as info:
         monotonicity_check(broken, range(1, 5))
     assert str(info.value) == "Coxeter relation " + relation
+
+
+def test_barred_map_reports_an_escaped_image_as_a_functoriality_failure():
+    C2 = make_simple("Ck", 4, k=2)
+    # a level-2 basis that misses the invariant line, as a broken module could give
+    C2.memo["invariants", 2] = InvariantBasis(2, Matrix.zeros(1, 0), Matrix.identity(1))
+    with pytest.raises(FunctorialityError, match="escaped the invariants at level 2"):
+        barred_map(C2, replication_map(2, 2))
 
 
 def test_delta_modules_have_no_invariants():

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from finsetrep.arnold import arnold_module
 from finsetrep.catcore import (
-    DELTA, FI, N, SetMap, enumerate_hom, identity_n, lift,
+    DELTA, FI, N, SetMap, enumerate_hom, factorize, format_mor, identity_n,
+    injection_chain, lift, permutation_chain, surjection_chain,
 )
-from finsetrep.exactla import Matrix
+from finsetrep.doldkan import CochainComplex, realize
+from finsetrep.exactla import Matrix, solve
 from finsetrep.repmod import (
     CatModule, check_functoriality, direct_sum, elementary_keys,
     from_elementary, generation_degree, read_module, restrict,
@@ -107,6 +110,187 @@ def test_elementary_backend_matches_rule_on_all_small_morphisms():
         for n in range(5):
             for f in enumerate_hom(N, m, n):
                 assert elem.act(f) == rule.act(f)
+
+
+def dense_chain_product(category, dims, mats, f):
+    """``act(f)`` as the identity-seeded product of the dense elementary
+    matrices along the canonical factorization of ``f``: the reference the
+    sparse evaluation must reproduce."""
+    if category is DELTA:
+        sm = f.map
+        image = sorted(set(sm.values))
+        surj = SetMap(sm.dom, len(image), tuple(image.index(v) + 1 for v in sm.values))
+        inj = SetMap(len(image), sm.cod, tuple(image))
+        keys = [("coface", n, i) for n, i in injection_chain(inj)] + \
+            [("codegen", n, i) for n, i in surjection_chain(surj)]
+    else:
+        nm = f if category is N else lift(f, "injection" if category is FI else "canonical")
+        sigma, pi, iota = factorize(nm)
+        keys = [("coface", n, i) for n, i in injection_chain(iota.map)] + \
+            [("codegen", n, i) for n, i in surjection_chain(pi.map)] + \
+            [("transp", n, i) for n, i in permutation_chain(sigma.map.values)]
+    out = Matrix.identity(dims[f.dom])
+    for key in reversed(keys):
+        out = mats[key] * out
+    return out
+
+
+def _cochain_fixture():
+    """``Q -> Q^2 -> Q``, with differentials ``(1, 2)`` and ``(2, -1)``."""
+    return CochainComplex(2, (1, 2, 1), [Matrix(2, 1, [[1], [2]]), Matrix(1, 2, [[2, -1]])])
+
+
+def _conjugated(V):
+    """Elementary matrices of ``V`` with every second basis vector of each
+    level doubled and the second added to the first: the entries become a
+    mix of integers and halves, and some columns gain a second entry."""
+    change = {n: Matrix(d, d, [[(2 if i % 2 else 1) if i == j else int((i, j) == (0, 1))
+                                for j in range(d)] for i in range(d)])
+              for n, d in enumerate(V.dims)}
+    undo = {n: solve(c, Matrix.identity(c.rows)) for n, c in change.items()}
+    ends = {"coface": lambda n: (n + 1, n), "codegen": lambda n: (n, n + 1),
+            "transp": lambda n: (n, n)}
+    mats = {}
+    for key, m in to_elementary(V).items():
+        cod, dom = ends[key[0]](key[1])
+        mats[key] = change[cod] * m * undo[dom]
+    return mats
+
+
+def _evaluation_fixtures():
+    rules = {
+        "C1": make_simple("Ck", 4, k=1),
+        "C2": make_simple("Ck", 4, k=2),
+        "C3": make_simple("Ck", 4, k=3),
+        "D1": make_simple("D1", 4),
+        "H0": arnold_module(0, 4),
+        "H1": arnold_module(1, 4),
+        "H2": arnold_module(2, 4),
+        "realize": realize(_cochain_fixture(), 4),
+    }
+    out = []
+    for name, V in rules.items():
+        mats = to_elementary(V)
+        elem = from_elementary(V.category, 4, V.dims, mats, name="elementary " + name)
+        out.append((name, V.category, V.dims, mats, [V, elem]))
+    C2 = rules["C2"]
+    mats = _conjugated(C2)
+    elem = from_elementary(N, 4, C2.dims, mats, name="conjugated C2")
+    out.append(("conjugated C2", N, C2.dims, mats, [elem]))
+    return out
+
+
+EVALUATION_FIXTURES = _evaluation_fixtures()
+
+
+def _canonical(coeff):
+    return type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+
+
+@pytest.mark.parametrize("name,cat,dims,mats,modules", EVALUATION_FIXTURES,
+                         ids=[fx[0] for fx in EVALUATION_FIXTURES])
+def test_sparse_evaluation_matches_dense_chain_product(name, cat, dims, mats, modules):
+    lo = 1 if cat is DELTA else 0
+    fractional = False
+    for m in range(lo, 5):
+        for n in range(lo, 5):
+            for f in enumerate_hom(cat, m, n):
+                expected = dense_chain_product(cat, dims, mats, f)
+                for V in modules:
+                    cols = V.columns(f)
+                    assert len(cols) == dims[m]
+                    assert all(_canonical(c) for col in cols for _, c in col), (V.name, format_mor(f))
+                    assert Matrix.from_columns(
+                        [[dict(col).get(r, 0) for r in range(dims[n])] for col in cols],
+                        dims[n]) == expected, (V.name, format_mor(f))
+                    mat = V.act(f)
+                    assert mat == expected, (V.name, format_mor(f))
+                    assert all(type(x) is Fraction for row in mat.data for x in row)
+                    fractional |= any(type(c) is Fraction for col in cols for _, c in col)
+    assert fractional == (name == "conjugated C2")
+
+
+def test_columns_coefficients_are_never_float():
+    # a rule may hand back any exact number type; none survives as a float
+    V = CatModule(N, 2, (1, 1, 1), columns=lambda f: (((0, 1.5 if f.dom == f.cod else 2.0),),))
+    f = lift(SetMap(1, 2, (1,)), "injection")
+    assert V.columns(identity_n(1)) == (((0, Fraction(3, 2)),),)
+    assert V.columns(f) == (((0, 2),),) and type(V.columns(f)[0][0][1]) is int
+    assert all(type(x) is Fraction for row in V.act(f).data for x in row)
+
+
+# (module, corrupted block): (pairs checked, counterexample (f, g)) after
+# adding 1 to entry (1, 1) of the block, as recorded when elementary modules
+# were evaluated by dense_chain_product
+CORRUPTION_VERDICTS = {
+    # C2@3 dims (0, 0, 1, 3)
+    ('C2@3', ('coface', 2, 1)): (744, ('2->3: 2,3 | orders: 1:(); 2:(1); 3:(2)', '3->2: 1,2,1 | orders: 1:(1,3); 2:(2)')),
+    ('C2@3', ('coface', 2, 2)): (740, ('2->3: 1,3 | orders: 1:(1); 2:(); 3:(2)', '3->2: 1,2,1 | orders: 1:(1,3); 2:(2)')),
+    ('C2@3', ('coface', 2, 3)): (739, ('2->3: 1,2 | orders: 1:(1); 2:(2); 3:()', '3->2: 1,2,1 | orders: 1:(1,3); 2:(2)')),
+    ('C2@3', ('codegen', 2, 1)): (715, ('2->3: 1,2 | orders: 1:(1); 2:(2); 3:()', '3->2: 1,1,2 | orders: 1:(1,2); 2:(3)')),
+    ('C2@3', ('codegen', 2, 2)): (763, ('2->3: 1,2 | orders: 1:(1); 2:(2); 3:()', '3->2: 1,2,2 | orders: 1:(1); 2:(2,3)')),
+    ('C2@3', ('transp', 2, 1)): (482, ('2->2: 2,1 | orders: 1:(2); 2:(1)', '2->2: 2,1 | orders: 1:(2); 2:(1)')),
+    ('C2@3', ('transp', 3, 1)): (787, ('2->3: 1,2 | orders: 1:(1); 2:(2); 3:()', '3->2: 2,1,1 | orders: 1:(2,3); 2:(1)')),
+    ('C2@3', ('transp', 3, 2)): (775, ('2->3: 1,2 | orders: 1:(1); 2:(2); 3:()', '3->2: 1,2,2 | orders: 1:(1); 2:(3,2)')),
+    # H1@4 dims (0, 0, 1, 3, 6)
+    ('H1@4', ('coface', 2, 1)): (2448, ('2->3: 2,3', '3->2: 1,2,1')),
+    ('H1@4', ('coface', 2, 2)): (2445, ('2->3: 1,3', '3->2: 1,2,1')),
+    ('H1@4', ('coface', 2, 3)): (2444, ('2->3: 1,2', '3->2: 1,2,1')),
+    ('H1@4', ('coface', 3, 1)): (2984, ('2->3: 1,2', '3->4: 2,3,4')),
+    ('H1@4', ('coface', 3, 2)): (2840, ('2->3: 1,2', '3->4: 1,3,4')),
+    ('H1@4', ('coface', 3, 3)): (2804, ('2->3: 1,2', '3->4: 1,2,4')),
+    ('H1@4', ('coface', 3, 4)): (2804, ('2->3: 1,2', '3->4: 1,2,4')),
+    ('H1@4', ('codegen', 2, 1)): (2435, ('2->3: 1,2', '3->2: 1,1,2')),
+    ('H1@4', ('codegen', 2, 2)): (2453, ('2->3: 1,2', '3->2: 1,2,2')),
+    ('H1@4', ('codegen', 3, 1)): (3381, ('2->4: 1,2', '4->2: 1,1,2,2')),
+    ('H1@4', ('codegen', 3, 2)): (3445, ('2->4: 1,2', '4->2: 1,2,2,2')),
+    ('H1@4', ('codegen', 3, 3)): (3861, ('2->4: 1,2', '4->3: 1,2,3,3')),
+    ('H1@4', ('transp', 2, 1)): (2310, ('2->2: 2,1', '2->2: 2,1')),
+    ('H1@4', ('transp', 3, 1)): (2462, ('2->3: 1,2', '3->2: 2,1,1')),
+    ('H1@4', ('transp', 3, 2)): (2480, ('2->3: 1,2', '3->2: 2,2,1')),
+    ('H1@4', ('transp', 4, 1)): (3461, ('2->4: 1,2', '4->2: 2,1,1,1')),
+    ('H1@4', ('transp', 4, 2)): (3525, ('2->4: 1,2', '4->2: 2,2,1,1')),
+    ('H1@4', ('transp', 4, 3)): (3429, ('2->4: 1,2', '4->2: 1,2,2,1')),
+    # realize@4 dims (0, 1, 3, 6, 10)
+    ('realize@4', ('coface', 1, 1)): (12, ('1->2: 2', '2->1: 1,1')),
+    ('realize@4', ('coface', 1, 2)): (11, ('1->2: 1', '2->1: 1,1')),
+    ('realize@4', ('coface', 2, 1)): (27, ('1->2: 1', '2->3: 2,3')),
+    ('realize@4', ('coface', 2, 2)): (23, ('1->2: 1', '2->3: 1,3')),
+    ('realize@4', ('coface', 2, 3)): (23, ('1->2: 1', '2->3: 1,3')),
+    ('realize@4', ('coface', 3, 1)): (138, ('1->3: 1', '3->4: 2,3,4')),
+    ('realize@4', ('coface', 3, 2)): (47, ('1->2: 1', '2->4: 3,4')),
+    ('realize@4', ('coface', 3, 3)): (37, ('1->2: 1', '2->4: 1,4')),
+    ('realize@4', ('coface', 3, 4)): (37, ('1->2: 1', '2->4: 1,4')),
+    ('realize@4', ('codegen', 1, 1)): (11, ('1->2: 1', '2->1: 1,1')),
+    ('realize@4', ('codegen', 2, 1)): (51, ('1->3: 1', '3->1: 1,1,1')),
+    ('realize@4', ('codegen', 2, 2)): (60, ('1->3: 1', '3->2: 1,2,2')),
+    ('realize@4', ('codegen', 3, 1)): (156, ('1->4: 1', '4->1: 1,1,1,1')),
+    ('realize@4', ('codegen', 3, 2)): (172, ('1->4: 1', '4->2: 1,2,2,2')),
+    ('realize@4', ('codegen', 3, 3)): (212, ('1->4: 1', '4->3: 1,2,3,3')),
+}
+
+
+def test_corrupted_blocks_fail_at_the_same_pair():
+    fixtures = {"C2@3": make_simple("Ck", 3, k=2), "H1@4": arnold_module(1, 4),
+                "realize@4": realize(_cochain_fixture(), 4)}
+    seen = set()
+    for name, V in fixtures.items():
+        mats = to_elementary(V)
+        for key in elementary_keys(V.category, V.max_level):
+            if not mats[key].rows or not mats[key].cols:
+                continue
+            rows = [list(row) for row in mats[key].data]
+            rows[0][0] += 1
+            bad = dict(mats)
+            bad[key] = Matrix(len(rows), len(rows[0]), rows)
+            W = from_elementary(V.category, V.max_level, V.dims, bad)
+            report = check_functoriality(W, trials=10 ** 9)
+            pairs, witness = CORRUPTION_VERDICTS[name, key]
+            assert not report.passed and report.exhaustive
+            assert report.pairs_checked == pairs, (name, key)
+            assert tuple(format_mor(m) for m in report.counterexample) == witness, (name, key)
+            seen.add((name, key))
+    assert seen == set(CORRUPTION_VERDICTS)
 
 
 def test_module_file_round_trip_bit_exact():
