@@ -58,25 +58,30 @@ def category_tag(name):
 
 
 class ParseError(ValueError):
-    """Malformed morphism/matrix/module text; carries a location."""
+    """Malformed morphism/matrix/module text; carries a location: ``pos``, a
+    character offset into a morphism's text form, or ``line``, a 1-based line
+    number in a module or cochain file."""
 
-    def __init__(self, message, pos=None):
+    def __init__(self, message, pos=None, *, line=None):
         self.pos = pos
-        if pos is not None:
+        self.line = line
+        if line is not None:
+            message = "%s (at line %d)" % (message, line)
+        elif pos is not None:
             message = "%s (at offset %d)" % (message, pos)
         super().__init__(message)
 
 
-def parse_count(token, what, pos, minimum=0):
+def parse_count(token, what, line, minimum=0):
     """``int(token)`` for a count in a text-form header line; a token that is
     not an integer, or a value below ``minimum``, raises :class:`ParseError`
-    located at ``pos``."""
+    located at ``line``."""
     try:
         value = int(token)
     except ValueError:
-        raise ParseError("%s must be an integer, got %r" % (what, token), pos) from None
+        raise ParseError("%s must be an integer, got %r" % (what, token), line=line) from None
     if value < minimum:
-        raise ParseError("%s must be at least %d, got %d" % (what, minimum, value), pos)
+        raise ParseError("%s must be at least %d, got %d" % (what, minimum, value), line=line)
     return value
 
 

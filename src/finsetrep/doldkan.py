@@ -281,34 +281,43 @@ def read_complex(text):
     def take(what):
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError("unexpected end of cochain file (expected %s)" % what, pos)
+            raise ParseError("unexpected end of cochain file (expected %s)" % what, line=pos + 1)
         line = lines[pos]
         pos += 1
         return line
 
     if take("header") != "cochain/1":
-        raise ParseError("not a cochain/1 file", 0)
+        raise ParseError("not a cochain/1 file", line=1)
     top_line = take("top line").split()
     if len(top_line) != 2 or top_line[0] != "top":
-        raise ParseError("bad top line", pos)
+        raise ParseError("bad top line", line=pos)
     top = parse_count(top_line[1], "top", pos)
     dims_line = take("dims line").split()
     if not dims_line or dims_line[0] != "dims":
-        raise ParseError("bad dims line", pos)
+        raise ParseError("bad dims line", line=pos)
     dims = tuple(parse_count(x, "dims entry", pos) for x in dims_line[1:])
     if len(dims) != top + 1:
-        raise ParseError("dims line must list degrees 0..top", pos)
+        raise ParseError("dims line must list degrees 0..top", line=pos)
     diffs = []
+    headers = []    # line of each differential's header
     for p in range(top):
         header = take("differential header").split()
         if header != ["d", str(p)]:
-            raise ParseError("expected differential block d %d" % p, pos)
+            raise ParseError("expected differential block d %d" % p, line=pos)
+        headers.append(pos)
         rows, cols = dims[p + 1], dims[p]
         block = [take("matrix row") for _ in range(rows)]
         try:
             diffs.append(parse_matrix(block, rows, cols))
         except ValueError as e:
-            raise ParseError("differential %d: %s" % (p, e), pos) from None
+            raise ParseError("differential %d: %s" % (p, e), line=headers[p]) from None
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
-        raise ParseError("trailing content after cochain blocks", pos)
-    return CochainComplex(top, dims, diffs)
+        raise ParseError("trailing content after cochain blocks", line=pos + 1)
+    try:
+        return CochainComplex(top, dims, diffs)
+    except ValueError as e:
+        # shapes were checked block by block, so d o d = 0 is what failed:
+        # locate it at the header of the second differential of the first
+        # nonzero composite
+        bad = [p for p in range(top - 1) if not (diffs[p + 1] * diffs[p]).is_zero()]
+        raise ParseError(str(e), line=headers[bad[0] + 1] if bad else None) from None

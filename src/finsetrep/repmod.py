@@ -44,7 +44,7 @@ from .catcore import (
     injection_chain, lift, parse_count, permutation_chain, random_mor,
     surjection_chain, transposition_map,
 )
-from .exactla import ZERO, Matrix, format_matrix, parse_matrix, reduce
+from .exactla import ZERO, Matrix, parse_matrix, reduce
 
 
 class FunctorialityError(ValueError):
@@ -189,7 +189,7 @@ def _normalize_columns(cols, nrows):
     for col in cols:
         clean = tuple(sorted((r, c if type(c) is int else _coefficient(c))
                              for r, c in col if c))
-        if any(not 0 <= r < nrows for r, _ in clean):
+        if clean and not (0 <= clean[0][0] and clean[-1][0] < nrows):
             raise ValueError("column entry out of range")
         out.append(clean)
     return tuple(out)
@@ -487,8 +487,8 @@ def elementary_shape(dims, key):
 
 
 def to_elementary(V):
-    """Evaluate ``V`` on every elementary morphism; the resulting dict backs
-    an equivalent elementary module and the catmod/1 file form."""
+    """Evaluate ``V`` on every elementary morphism as dense matrices; the
+    resulting dict backs an equivalent elementary module."""
     return {
         key: V.act(elementary_morphism(V.category, key))
         for key in elementary_keys(V.category, V.max_level)
@@ -511,8 +511,7 @@ def from_elementary(category, max_level, dims, matrices, name=""):
 
 
 def write_module(V):
-    """Serialize to the catmod/1 text form (converts rule backends)."""
-    mats = V._elementary if V._elementary is not None else to_elementary(V)
+    """Serialize to the catmod/1 text form, each block from sparse columns."""
     lines = [
         "catmod/1",
         "category %s" % V.category,
@@ -521,9 +520,18 @@ def write_module(V):
     ]
     for key in elementary_keys(V.category, V.max_level):
         lines.append("%s %d %d" % key)
-        text = format_matrix(mats[key])
-        if mats[key].rows:
-            lines.append(text)
+        rows, width = elementary_shape(V.dims, key)
+        if not rows:
+            continue
+        if V._elementary is not None:
+            cols = V._block_columns(key)
+        else:
+            cols = V.columns(elementary_morphism(V.category, key))
+        grid = [["0"] * width for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for r, c in col:
+                grid[r][j] = str(c)
+        lines.append("\n".join(" ".join(row) for row in grid))
     return "\n".join(lines) + "\n"
 
 
@@ -534,29 +542,32 @@ def read_module(text, name=""):
     def take(what):
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError("unexpected end of module file (expected %s)" % what, pos)
+            raise ParseError("unexpected end of module file (expected %s)" % what, line=pos + 1)
         line = lines[pos]
         pos += 1
         return line
 
     if take("header") != "catmod/1":
-        raise ParseError("not a catmod/1 file", 0)
+        raise ParseError("not a catmod/1 file", line=1)
     cat_line = take("category line").split()
     if len(cat_line) != 2 or cat_line[0] != "category":
-        raise ParseError("bad category line", pos)
-    category = category_tag(cat_line[1])
+        raise ParseError("bad category line", line=pos)
+    try:
+        category = category_tag(cat_line[1])
+    except ValueError as e:
+        raise ParseError(str(e), line=pos) from None
     lvl_line = take("max_level line").split()
     if len(lvl_line) != 2 or lvl_line[0] != "max_level":
-        raise ParseError("bad max_level line", pos)
+        raise ParseError("bad max_level line", line=pos)
     max_level = parse_count(lvl_line[1], "max_level", pos, minimum=1)
     dims_line = take("dims line").split()
     if not dims_line or dims_line[0] != "dims":
-        raise ParseError("bad dims line", pos)
+        raise ParseError("bad dims line", line=pos)
     dims = tuple(parse_count(x, "dims entry", pos) for x in dims_line[1:])
     if len(dims) != max_level + 1:
-        raise ParseError("dims line must list levels 0..max_level", pos)
+        raise ParseError("dims line must list levels 0..max_level", line=pos)
     if category is DELTA and dims[0] != 0:
-        raise ParseError("Delta modules carry dims[0] == 0", pos)
+        raise ParseError("Delta modules carry dims[0] == 0", line=pos)
     matrices = {}
     for key in elementary_keys(category, max_level):
         header = take("matrix header").split()
@@ -565,13 +576,14 @@ def read_module(text, name=""):
         except ValueError:
             got = None
         if got != key:
-            raise ParseError("expected matrix block %r, got %r" % (key, " ".join(header)), pos)
+            raise ParseError("expected matrix block %r, got %r" % (key, " ".join(header)), line=pos)
+        at = pos
         rows, cols = elementary_shape(dims, key)
         block = [take("matrix row") for _ in range(rows)]
         try:
             matrices[key] = parse_matrix(block, rows, cols)
         except ValueError as e:
-            raise ParseError("block %r: %s" % (key, e), pos) from None
+            raise ParseError("block %r: %s" % (key, e), line=at) from None
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
-        raise ParseError("trailing content after module blocks", pos)
+        raise ParseError("trailing content after module blocks", line=pos + 1)
     return from_elementary(category, max_level, dims, matrices, name=name)

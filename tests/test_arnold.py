@@ -1,18 +1,19 @@
+import gc
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from finsetrep.arnold import (
-    OSElement, admissible_basis, arnold_dim, arnold_module, format_word,
-    straighten,
+    OSElement, _straighten, admissible_basis, arnold_dim, arnold_module,
+    format_word, straighten,
 )
-from finsetrep.catcore import F, SetMap, random_mor
+from finsetrep.catcore import F, SetMap, enumerate_hom, random_mor
 from finsetrep.chars import fit_dimension_polynomial
 from finsetrep.exactla import Matrix, ZERO
-from finsetrep.repmod import check_functoriality
+from finsetrep.repmod import CatModule, check_functoriality, restrict
 from finsetrep.simples import descends_through_phi
-from finsetrep.repmod import restrict
 
 
 def poincare_coefficients(n):
@@ -180,3 +181,73 @@ def test_os_element_formatting():
     assert str(e) == "-1 * w(1,2)w(1,3) + 1 * w(1,2)w(2,3)"
     assert format_word(()) == "1"
     assert isinstance(e, OSElement)
+
+
+# -- the per-module memo of straightened image words --------------------------------
+
+def fresh_columns(degree, f):
+    """Columns of ``f`` on the degree-``degree`` module, every image word
+    straightened anew: the reference for the memoized rule."""
+    index = {w: i for i, w in enumerate(admissible_basis(f.cod, degree))}
+    cols = []
+    for word in admissible_basis(f.dom, degree):
+        image = [(f.values[a - 1], f.values[b - 1]) for a, b in word]
+        if any(x == y for x, y in image):
+            cols.append(())
+            continue
+        image = tuple((min(x, y), max(x, y)) for x, y in image)
+        cols.append(tuple(sorted((index[w], c) for w, c in _straighten(image).items())))
+    return tuple(cols)
+
+
+def memo_sizes(V):
+    return {key[1]: len(words) for key, words in V.memo.items() if key[0] == "arnold"}
+
+
+def test_memoized_columns_equal_fresh_straightening():
+    for i in (0, 1, 2):
+        V = arnold_module(i, 4)
+        # two sweeps over every morphism: levels interleave, and the second
+        # sweep is served from the memo alone
+        for _ in range(2):
+            for m in range(5):
+                for n in range(5):
+                    for f in enumerate_hom(F, m, n):
+                        assert V.columns(f) == fresh_columns(i, f), (i, f)
+
+
+def test_memo_is_bounded_by_the_word_count():
+    # one entry per sequence of i factors w(a,b), a < b, on the target level
+    for i, top in ((0, 4), (1, 4), (2, 4), (1, 6), (2, 7)):
+        V = arnold_module(i, top)
+        sizes = memo_sizes(V)
+        assert all(sizes.get(n, 0) <= comb(n, 2) ** i for n in range(top + 1)), sizes
+        if top == 4:
+            for m in range(5):
+                for n in range(5):
+                    for f in enumerate_hom(F, m, n):
+                        V.columns(f)
+            # every morphism up to level 4 reaches every word, and no more
+            assert memo_sizes(V) == {n: comb(n, 2) ** i for n in range(5)}
+    assert sum(memo_sizes(arnold_module(2, 7)).values()) <= sum(comb(n, 2) ** 2 for n in range(8))
+
+
+def test_memo_is_freed_with_the_module():
+    def live():
+        return sum(1 for o in gc.get_objects() if type(o) is CatModule)
+
+    gc.collect()
+    before = live()
+    for _ in range(50):
+        V = arnold_module(2, 4)
+        V.columns(SetMap(4, 4, (2, 1, 4, 3)))
+    del V
+    gc.collect()
+    assert live() == before
+
+
+def test_certificates_unchanged_by_the_memo():
+    V = arnold_module(2, 6)
+    assert str(check_functoriality(V)) == "functoriality ok (500 pairs, sampled)"
+    assert str(check_functoriality(V, trials=300, seed=0)) == "functoriality ok (300 pairs, sampled)"
+    assert str(check_functoriality(V, trials=2000, seed=5)) == "functoriality ok (2000 pairs, sampled)"

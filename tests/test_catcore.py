@@ -230,7 +230,8 @@ def test_text_examples():
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_setmap("2->3 1,3")
-    assert err.value.pos is not None
+    assert err.value.pos == 4 and err.value.line is None
+    assert str(err.value) == "expected ':' (at offset 4)"
     with pytest.raises(ParseError):
         parse_nmor("2->1: 1,1 | orders: 1:(1)")
     with pytest.raises(ParseError):

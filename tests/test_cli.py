@@ -200,6 +200,7 @@ def _malformed(text, old, new):
 def test_malformed_module_headers_exit_2_with_a_location(tmp_path, capsys):
     _, text, _ = run_cli(capsys, "simple", "Ck", "--k", "1", "--max", "3")
     cases = (
+        ("category N\n", "category Q\n", "unknown category 'Q'"),
         ("max_level 3\n", "max_level three\n", "max_level must be an integer"),
         ("max_level 3\n", "max_level 2.5\n", "max_level must be an integer"),
         ("max_level 3\n", "max_level 0\ndims 0\n", "max_level must be at least 1"),
@@ -213,7 +214,7 @@ def test_malformed_module_headers_exit_2_with_a_location(tmp_path, capsys):
         mod_file.write_text(_malformed(text, old, new))
         code, out, err = run_cli(capsys, "char", str(mod_file), "--n", "2")
         assert code == 2 and out == "", new
-        assert err.startswith("error: ") and message in err and "(at offset " in err, err
+        assert err.startswith("error: ") and message in err and "(at line " in err, err
         assert "invalid literal" not in err
 
 
@@ -229,8 +230,18 @@ def test_malformed_cochain_headers_exit_2_with_a_location(tmp_path, capsys):
         cx_file.write_text(_malformed(text, old, new))
         code, out, err = run_cli(capsys, "doldkan", "realize", str(cx_file), "--max", "3")
         assert code == 2 and out == "", new
-        assert err.startswith("error: ") and message in err and "(at offset " in err, err
+        assert err.startswith("error: ") and message in err and "(at line " in err, err
         assert "invalid literal" not in err
     cx_file.write_text(text)
     code, out, _ = run_cli(capsys, "doldkan", "realize", str(cx_file), "--max", "3")
     assert code == 0 and out.startswith("catmod/1\ncategory Delta\n")
+
+
+def test_cochain_with_nonzero_square_exits_2_at_the_differential(tmp_path, capsys):
+    cx_file = tmp_path / "bad.cochain"
+    # d1 d0 = 1 * 1 != 0; "d 1" is line 6
+    cx_file.write_text("cochain/1\ntop 2\ndims 1 1 1\nd 0\n1\nd 1\n1\n")
+    code, out, err = run_cli(capsys, "doldkan", "realize", str(cx_file), "--max", "3")
+    assert code == 2 and out == ""
+    assert err == "error: d o d != 0 at degree 0 (at line 6)\n", err
+    assert "Traceback" not in err

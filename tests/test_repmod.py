@@ -8,13 +8,13 @@ from finsetrep.catcore import (
     injection_chain, lift, permutation_chain, surjection_chain,
 )
 from finsetrep.doldkan import CochainComplex, realize
-from finsetrep.exactla import Matrix, solve
+from finsetrep.exactla import Matrix, format_matrix, solve
 from finsetrep.repmod import (
     CatModule, check_functoriality, direct_sum, elementary_keys,
     from_elementary, generation_degree, read_module, restrict,
     to_elementary, write_module,
 )
-from finsetrep.simples import make_simple
+from finsetrep.simples import make_simple, order_sign_module
 
 
 def injective_pushforward_module(max_level, k):
@@ -219,6 +219,25 @@ def test_columns_coefficients_are_never_float():
     assert all(type(x) is Fraction for row in V.act(f).data for x in row)
 
 
+@pytest.mark.parametrize("col,ok", [
+    (((2, 1), (0, 5)), True),
+    (((0, Fraction(1, 2)),), True),
+    ((), True),
+    (((3, 0), (1, 2)), True),       # zero entries are dropped before the check
+    (((3, 1),), False),
+    (((-1, 1),), False),
+    (((1, 1), (3, 1)), False),
+    (((2, 1), (-1, 1), (0, 1)), False),
+])
+def test_rule_column_rows_are_range_checked(col, ok):
+    V = CatModule(N, 1, (0, 3), columns=lambda f: [col, (), ()])
+    if ok:
+        assert V.columns(identity_n(1)) == (tuple(sorted((r, c) for r, c in col if c)), (), ())
+    else:
+        with pytest.raises(ValueError, match="out of range"):
+            V.columns(identity_n(1))
+
+
 # (module, corrupted block): (pairs checked, counterexample (f, g)) after
 # adding 1 to entry (1, 1) of the block, as recorded when elementary modules
 # were evaluated by dense_chain_product
@@ -301,6 +320,76 @@ def test_module_file_round_trip_bit_exact():
         again = read_module(text)
         assert write_module(again) == text
         assert again.dims == module.dims and again.category == module.category
+
+
+def dense_write_module(V):
+    """catmod/1 text through dense matrices: every block of ``V`` as the
+    :class:`Matrix` of ``to_elementary`` (or the stored one), printed by
+    ``format_matrix`` -- the reference the sparse writer must reproduce."""
+    mats = V._elementary if V._elementary is not None else to_elementary(V)
+    lines = ["catmod/1", "category %s" % V.category, "max_level %d" % V.max_level,
+             "dims %s" % " ".join(str(d) for d in V.dims)]
+    for key in elementary_keys(V.category, V.max_level):
+        lines.append("%s %d %d" % key)
+        if mats[key].rows:
+            lines.append(format_matrix(mats[key]))
+    return "\n".join(lines) + "\n"
+
+
+def _rescaled(V, scale):
+    """``V`` with the basis of level ``n`` multiplied by ``1 / scale(n)``:
+    a rule module whose coefficients pick up ``scale(cod) / scale(dom)``."""
+    def columns(f):
+        s = scale(f.cod) / scale(f.dom)
+        return [[(r, c * s) for r, c in col] for col in V.columns(f)]
+    return CatModule(V.category, V.max_level, V.dims, columns=columns,
+                     name="rescaled " + V.name)
+
+
+def _write_fixtures():
+    out = {}
+    for k in (1, 2, 3):
+        out["C%d" % k] = make_simple("Ck", 6, k=k)
+    out["D0"] = make_simple("D0", 6)
+    out["D1"] = make_simple("D1", 6)
+    out["order-sign"] = order_sign_module(6)
+    for i in (0, 1, 2):
+        out["H%d" % i] = arnold_module(i, 6)
+    for name in ("C1", "C2", "C3", "D0", "D1", "order-sign"):
+        out[name + "|Delta"] = restrict(out[name], "psi")
+    for name in ("H0", "H1", "H2"):
+        out[name + "|N"] = restrict(out[name], "phi")
+    out["C1+C2"] = direct_sum(out["C1"], out["C2"])
+    out["realize"] = realize(_cochain_fixture(), 5)
+    out["realize, zero levels"] = realize(CochainComplex(2, (0, 0, 2), [
+        Matrix.zeros(0, 0), Matrix.zeros(2, 0)]), 4)
+    out["rescaled C2"] = _rescaled(out["C2"], lambda n: Fraction(-2, 3) ** n)
+    out["rescaled H1"] = _rescaled(out["H1"], lambda n: Fraction(-5, 2) ** n)
+    small = make_simple("Ck", 4, k=2)
+    out["conjugated C2"] = from_elementary(N, 4, small.dims, _conjugated(small))
+    out["fi-subsets"] = injective_pushforward_module(4, 2)
+    for name in list(out):
+        out[name + " read back"] = read_module(write_module(out[name]))
+    return out
+
+
+WRITE_FIXTURES = _write_fixtures()
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_FIXTURES))
+def test_write_module_matches_the_dense_path(name):
+    V = WRITE_FIXTURES[name]
+    assert write_module(V) == dense_write_module(V)
+
+
+def test_write_fixtures_cover_signs_fractions_and_empty_levels():
+    texts = [dense_write_module(V) for V in WRITE_FIXTURES.values()]
+    entries = {tok for text in texts for line in text.splitlines()[4:] for tok in line.split()}
+    assert {"-1", "1/2", "-2/3", "-3/2"} <= entries
+    assert any("\n\n" in text for text in texts)          # rows of width 0
+    assert any(0 in V.dims[1:] for V in WRITE_FIXTURES.values())
+    for name in ("rescaled C2", "rescaled H1"):
+        assert check_functoriality(WRITE_FIXTURES[name], trials=300).passed
 
 
 def test_elementary_keys_shapes():
