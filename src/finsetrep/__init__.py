@@ -18,6 +18,6 @@ from .repmod import (  # noqa: F401
 )
 from .doldkan import conormalize, dim_polynomial, realize  # noqa: F401
 from .simples import descends_through_phi, make_simple  # noqa: F401
-from .chars import character, evaluate_charpoly, fit_character_polynomial, fit_dimension_polynomial  # noqa: F401
+from .chars import character, fit_character_polynomial, fit_dimension_polynomial  # noqa: F401
 from .invariants import barred_map, invariants_basis, monotonicity_check, replication_iso_check  # noqa: F401
 from .arnold import arnold_dim, arnold_module, straighten  # noqa: F401

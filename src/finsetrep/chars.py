@@ -125,6 +125,8 @@ class CharacterPolynomial:
         return max((sum(j * m for j, m in key) for key, _ in self.coefficients), default=0)
 
     def evaluate(self, partition):
+        """Value on the class of a cycle type; cycle counts absent from the
+        type (including every ``Xj`` with ``j > n``) are 0."""
         counts = cycle_counts(partition)
         return sum((c * _eval_monomial(key, counts) for key, c in self.coefficients), ZERO)
 
@@ -150,13 +152,6 @@ class CharacterPolynomial:
         for term in parts[1:]:
             text += " - " + term[1:] if term.startswith("-") else " + " + term
         return text
-
-
-def evaluate_charpoly(P, partition):
-    """Value of a character polynomial on the class of a cycle type; cycle
-    counts absent from the type (including every ``Xj`` with ``j > n``) are 0.
-    """
-    return P.evaluate(partition)
 
 
 @dataclass(frozen=True)

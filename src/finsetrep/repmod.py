@@ -23,7 +23,12 @@ chain.  :meth:`CatModule.act` densifies the columns into a
 Well-definedness of an elementary backend is never assumed: it is certified
 by :func:`check_functoriality`, which tests the functor laws on composable
 pairs (exhaustively whenever that is cheap enough, otherwise on a seeded
-random sample).
+random sample).  The exhaustive check evaluates each morphism once and
+interns every distinct column to an int, so a matrix is a tuple of column
+ids.  Composites are keyed by value tuples (fiber orders in N), spelled as
+strings and composed by ``str.translate``, and each ``g`` maps column ids
+through a memo of its action on single columns: a pair costs a few dict
+lookups, and a morphism is built only for a composite not seen before.
 
 Module file format (versioned header ``catmod/1``): category tag, truncation
 level, dimension line, then one labeled matrix block per elementary morphism
@@ -302,17 +307,76 @@ def check_functoriality(V, trials=500, seed=0):
         return cols(compose_in(cat, g, f)) == compose_columns(cols(g), cols(f))
 
     if total <= trials:
+        # Each distinct column is interned to an int, so a matrix is a tuple
+        # of column ids.  Each morphism is spelled as a word, one letter per
+        # element: its values, or in N its fibers, each ended by "\0".
+        # str.translate composes two words (f's values through g's; in N,
+        # g's fibers through f's), and a word keys its morphism's column
+        # ids in one dict per pair of levels.  Each g maps column ids
+        # through a memo filled one column at a time, so a pair builds no
+        # morphism and multiplies no columns unless its composite is new.
+        column_ids, id_columns = {}, []
+
+        def intern(columns):
+            out = []
+            for col in columns:
+                i = column_ids.get(col)
+                if i is None:
+                    i = column_ids[col] = len(id_columns)
+                    id_columns.append(col)
+                out.append(i)
+            return tuple(out)
+
+        homs, known = {}, {}
+
+        def hom(a, b):
+            """hom(a, b) with the word, translation table and action memo of
+            each morphism."""
+            got = homs.get((a, b))
+            if got is None:
+                mors = enumerate_hom(cat, a, b)
+                if cat is N:
+                    spelled = [["".join(map(chr, fib)) for fib in m.fiber_orders] for m in mors]
+                    words = ["".join(fib + "\0" for fib in sp) for sp in spelled]
+                    tables = [("\0",) + tuple(sp) for sp in spelled]
+                else:
+                    words = ["".join(map(chr, (m.map if cat is DELTA else m).values)) for m in mors]
+                    tables = ["\0" + w for w in words]
+                got = homs[a, b] = (mors, words, tables, [{} for _ in mors])
+            return got
+
         for a in levels:
             for b in levels:
-                homs_ab = enumerate_hom(cat, a, b)
+                homs_ab, words_ab, tables_ab, _ = hom(a, b)
                 if not homs_ab:
                     continue
+                ids_ab = known.setdefault((a, b), {})
                 for c in levels:
-                    for g in enumerate_hom(cat, b, c):
-                        gc = cols(g)
-                        for f in homs_ab:
+                    homs_bc, words_bc, tables_bc, acts_bc = hom(b, c)
+                    ids_bc = known.setdefault((b, c), {})
+                    ids_ac = known.setdefault((a, c), {})
+                    for g, gword, gtable, act in zip(homs_bc, words_bc, tables_bc, acts_bc):
+                        gids = ids_bc.get(gword)
+                        if gids is None:
+                            gids = ids_bc[gword] = intern(V.columns(g))
+                        for f, fword, ftable in zip(homs_ab, words_ab, tables_ab):
                             checked += 1
-                            if cols(compose_in(cat, g, f)) != compose_columns(gc, cols(f)):
+                            key = gword.translate(ftable) if cat is N else fword.translate(gtable)
+                            want = ids_ac.get(key)
+                            if want is None:
+                                want = ids_ac[key] = intern(V.columns(compose_in(cat, g, f)))
+                            fids = ids_ab.get(fword)
+                            if fids is None:
+                                fids = ids_ab[fword] = intern(V.columns(f))
+                            try:
+                                got = tuple([act[i] for i in fids])
+                            except KeyError:
+                                gc = tuple([id_columns[i] for i in gids])
+                                for i in fids:
+                                    if i not in act:
+                                        act[i] = intern(compose_columns(gc, (id_columns[i],)))[0]
+                                got = tuple([act[i] for i in fids])
+                            if got != want:
                                 return FunctorialityReport(False, checked, True, (f, g))
         return FunctorialityReport(True, checked, True, None)
 

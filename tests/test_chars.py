@@ -4,8 +4,8 @@ import pytest
 
 from finsetrep.chars import (
     BinomialPolynomial, CharacterPolynomial, character, cycle_counts,
-    evaluate_charpoly, fit_character_polynomial, fit_dimension_polynomial,
-    monomial_keys, partitions_of, permutation_of_type,
+    fit_character_polynomial, fit_dimension_polynomial, monomial_keys,
+    partitions_of, permutation_of_type,
 )
 from finsetrep.arnold import arnold_module
 from finsetrep.repmod import permutation_action
@@ -79,11 +79,11 @@ def test_class_constancy_two_representatives():
 
 def test_evaluate_charpoly_examples():
     x1 = CharacterPolynomial.from_dict({((1, 1),): Fraction(1)})
-    assert evaluate_charpoly(x1, (1, 1, 1)) == 3
+    assert x1.evaluate((1, 1, 1)) == 3
     x2 = CharacterPolynomial.from_dict({((2, 1),): Fraction(1)})
-    assert evaluate_charpoly(x2, (3,)) == 0
+    assert x2.evaluate((3,)) == 0
     p = CharacterPolynomial.from_dict({((1, 2),): Fraction(1), ((2, 1),): Fraction(1)})
-    assert evaluate_charpoly(p, (2, 1)) == 1
+    assert p.evaluate((2, 1)) == 1
     assert str(p) == "C(X1,2) + X2"
 
 
@@ -140,7 +140,7 @@ def test_specialization_at_identity_matches_dimension_fit():
     assert char_fit.ok and dims_fit.ok
     for n in range(1, 10):
         identity_class = (1,) * n
-        assert evaluate_charpoly(char_fit.polynomial, identity_class) == dims_fit.polynomial.evaluate(n)
+        assert char_fit.polynomial.evaluate(identity_class) == dims_fit.polynomial.evaluate(n)
 
 
 def test_binomial_polynomial_str_and_degree():

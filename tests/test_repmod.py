@@ -1,17 +1,20 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from finsetrep.arnold import arnold_module
 from finsetrep.catcore import (
-    DELTA, FI, N, SetMap, enumerate_hom, factorize, format_mor, identity_n,
-    injection_chain, lift, permutation_chain, surjection_chain,
+    DELTA, F, FI, N, SetMap, compose_in, enumerate_hom, factorize, format_mor,
+    identity_n, injection_chain, lift, permutation_chain, surjection_chain,
 )
 from finsetrep.doldkan import CochainComplex, realize
 from finsetrep.exactla import Matrix, format_matrix, solve
 from finsetrep.repmod import (
-    CatModule, check_functoriality, direct_sum, elementary_keys,
-    from_elementary, generation_degree, read_module, restrict,
+    CatModule, FunctorialityReport, _identity_mor, check_functoriality,
+    compose_columns, direct_sum, elementary_keys, from_elementary,
+    generation_degree, identity_columns, read_module, restrict,
     to_elementary, write_module,
 )
 from finsetrep.simples import make_simple, order_sign_module
@@ -238,6 +241,21 @@ def test_rule_column_rows_are_range_checked(col, ok):
             V.columns(identity_n(1))
 
 
+def _single_entry_corruptions(V):
+    """``(key, W)`` for each nonempty elementary block of ``V``, in file
+    order: ``W`` is ``V`` as an elementary module with 1 added to entry
+    (1, 1) of that block."""
+    mats = to_elementary(V)
+    for key in elementary_keys(V.category, V.max_level):
+        if not mats[key].rows or not mats[key].cols:
+            continue
+        rows = [list(row) for row in mats[key].data]
+        rows[0][0] += 1
+        bad = dict(mats)
+        bad[key] = Matrix(len(rows), len(rows[0]), rows)
+        yield key, from_elementary(V.category, V.max_level, V.dims, bad)
+
+
 # (module, corrupted block): (pairs checked, counterexample (f, g)) after
 # adding 1 to entry (1, 1) of the block, as recorded when elementary modules
 # were evaluated by dense_chain_product
@@ -294,15 +312,7 @@ def test_corrupted_blocks_fail_at_the_same_pair():
                 "realize@4": realize(_cochain_fixture(), 4)}
     seen = set()
     for name, V in fixtures.items():
-        mats = to_elementary(V)
-        for key in elementary_keys(V.category, V.max_level):
-            if not mats[key].rows or not mats[key].cols:
-                continue
-            rows = [list(row) for row in mats[key].data]
-            rows[0][0] += 1
-            bad = dict(mats)
-            bad[key] = Matrix(len(rows), len(rows[0]), rows)
-            W = from_elementary(V.category, V.max_level, V.dims, bad)
+        for key, W in _single_entry_corruptions(V):
             report = check_functoriality(W, trials=10 ** 9)
             pairs, witness = CORRUPTION_VERDICTS[name, key]
             assert not report.passed and report.exhaustive
@@ -310,6 +320,119 @@ def test_corrupted_blocks_fail_at_the_same_pair():
             assert tuple(format_mor(m) for m in report.counterexample) == witness, (name, key)
             seen.add((name, key))
     assert seen == set(CORRUPTION_VERDICTS)
+
+
+def pairwise_check_functoriality(V):
+    """The exhaustive functor-law check as a loop over composable pairs, in
+    the order a, b, c, g, f, with the columns of every morphism cached by the
+    morphism and one column product per pair: the reference the interned
+    check must reproduce."""
+    cat = V.category
+    levels = list(V.levels)
+    for n in levels:
+        if V.columns(_identity_mor(cat, n)) != identity_columns(V.dims[n]):
+            return FunctorialityReport(False, 0, False, ("identity", n))
+    cache = {}
+
+    def cols(m):
+        got = cache.get(m)
+        if got is None:
+            got = cache[m] = V.columns(m)
+        return got
+
+    checked = 0
+    for a in levels:
+        for b in levels:
+            homs_ab = enumerate_hom(cat, a, b)
+            if not homs_ab:
+                continue
+            for c in levels:
+                for g in enumerate_hom(cat, b, c):
+                    gc = cols(g)
+                    for f in homs_ab:
+                        checked += 1
+                        if cols(compose_in(cat, g, f)) != compose_columns(gc, cols(f)):
+                            return FunctorialityReport(False, checked, True, (f, g))
+    return FunctorialityReport(True, checked, True, None)
+
+
+def _oracle_fixtures():
+    out = {}
+    for name, V in (("C2@3", make_simple("Ck", 3, k=2)), ("H1@4", arnold_module(1, 4)),
+                    ("realize@4", realize(_cochain_fixture(), 4)), ("D1@3", make_simple("D1", 3))):
+        for key, W in _single_entry_corruptions(V):
+            out["%s!%s.%d.%d" % ((name,) + key)] = W
+    for k in (1, 2, 3):
+        out["C%d@3" % k] = make_simple("Ck", 3, k=k)
+    out["D0@3"] = make_simple("D0", 3)
+    out["D1@3"] = make_simple("D1", 3)
+    for i in (0, 1, 2):
+        out["H%d@3" % i] = arnold_module(i, 3)
+    out["order-sign@3"] = order_sign_module(3)
+    small = make_simple("Ck", 3, k=2)
+    out["conjugated C2@3"] = from_elementary(N, 3, small.dims, _conjugated(small))
+    out["fi-subsets@4"] = injective_pushforward_module(4, 2)
+    out["C2@3|Delta"] = restrict(small, "psi")
+    out["C1+C2@3"] = direct_sum(make_simple("Ck", 3, k=1), small)
+    return out
+
+
+ORACLE_FIXTURES = _oracle_fixtures()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIXTURES))
+def test_exhaustive_check_matches_the_pairwise_oracle(name):
+    V = ORACLE_FIXTURES[name]
+    report = check_functoriality(V, trials=10 ** 9)
+    expected = pairwise_check_functoriality(V)
+    assert report.exhaustive
+    assert report == expected
+    assert str(report) == str(expected)
+
+
+def test_oracle_fixtures_cover_failures_fractions_and_every_category():
+    reports = {name: pairwise_check_functoriality(V) for name, V in ORACLE_FIXTURES.items()}
+    corrupted = [name for name in reports if "!" in name]
+    assert len(corrupted) == len(CORRUPTION_VERDICTS) + 11     # D1@3 has 11 nonempty blocks
+    assert not any(reports[name].passed for name in corrupted)
+    assert not reports["order-sign@3"].passed
+    passing = {name for name, r in reports.items() if r.passed}
+    assert passing == set(ORACLE_FIXTURES) - set(corrupted) - {"order-sign@3"}
+    assert {V.category for V in ORACLE_FIXTURES.values()} == {N, FI, DELTA, F}
+    conjugated = ORACLE_FIXTURES["conjugated C2@3"]
+    assert any(type(c) is Fraction for m in enumerate_hom(N, 3, 3)
+               for col in conjugated.columns(m) for _, c in col)
+
+
+def test_exhaustive_check_leaves_no_state_behind():
+    V = read_module(write_module(make_simple("Ck", 3, k=2)))
+    assert check_functoriality(V, trials=10 ** 9).passed
+    assert set(V.memo) <= set(elementary_keys(N, 3))
+
+    def live():
+        return sum(1 for o in gc.get_objects() if type(o) is CatModule)
+
+    def throwaway(i):
+        # a scale no other test uses, distinct per module, makes columns new
+        return _rescaled(make_simple("Ck", 2, k=1), lambda n: Fraction(7919 + i, 7907) ** n)
+
+    check_functoriality(throwaway(-1), trials=10 ** 9)
+    gc.collect()
+    before = live()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(50):
+            W = throwaway(i)
+            assert check_functoriality(W, trials=10 ** 9).passed
+        del W
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert live() == before
+    assert grown < 8_000, grown     # interned columns kept across calls: ~30 kB
 
 
 def test_module_file_round_trip_bit_exact():
