@@ -141,10 +141,10 @@ def criterion_2(seed):
             es = enumerate_hom(DELTA, a, b)
             for c in range(1, 5):
                 for d2 in enumerate_hom(DELTA, b, c):
-                    ld = lift(d2, "delta")
+                    ld = lift(d2)
                     for e in es:
                         psi_pairs += 1
-                        if lift(compose_delta(d2, e), "delta") != compose_n(ld, lift(e, "delta")):
+                        if lift(compose_delta(d2, e)) != compose_n(ld, lift(e)):
                             return _result(2, "category laws", False,
                                            "monotone lift breaks on a size<=4 pair")
     # seeded random triples with sizes <= 6
@@ -168,7 +168,7 @@ def criterion_2(seed):
         e = random_mor(DELTA, a, b, rng)
         d2 = random_mor(DELTA, b, c, rng)
         psi_seeded += 1
-        if lift(compose_delta(d2, e), "delta") != compose_n(lift(d2, "delta"), lift(e, "delta")):
+        if lift(compose_delta(d2, e)) != compose_n(lift(d2), lift(e)):
             return _result(2, "category laws", False, "seeded monotone-lift failure")
     return _result(2, "category laws", True,
                    "associativity on %d size<=3 triples, forgetful on %d size<=4 pairs, "

@@ -304,26 +304,13 @@ def compose_in(cat, g, f):
 # ---------------------------------------------------------------------------
 # lifting along psi (Delta -> N) and the canonical section of the forgetful map
 
-def lift(m, mode="canonical"):
-    """Lift a set map to an N-morphism.
-
-    mode = ``delta``:     the input must be weakly monotone (a fiber of a
-                          monotone map inherits its order from the domain);
-    mode = ``injection``: the input must be injective; the lift is unique;
-    mode = ``canonical``: any set map; every fiber in increasing order.
-
-    All three modes produce increasing fiber orders; they differ only in what
-    they accept.
+def lift(m):
+    """Lift a set map (or a Delta morphism) to N, every fiber in increasing
+    order: the unique lift of an injection, and the lift of a monotone map
+    along psi (its fibers inherit their order from the domain).  The input
+    is not checked; ``finsetrep lift --mode`` checks its own input.
     """
     sm = m.map if isinstance(m, DeltaMor) else m
-    if mode == "injection":
-        if not sm.is_injective():
-            raise ValueError("injection lift of a non-injective map %r" % (sm.values,))
-    elif mode == "delta":
-        if not sm.is_monotone():
-            raise ValueError("delta lift of a non-monotone map %r" % (sm.values,))
-    elif mode != "canonical":
-        raise ValueError("unknown lift mode %r" % (mode,))
     fibers = [[] for _ in range(sm.cod)]
     for x, v in enumerate(sm.values, 1):
         fibers[v - 1].append(x)
@@ -417,9 +404,9 @@ def factorize(f):
     pi_vals = tuple(
         j for j, y in enumerate(image, 1) for _ in f.fiber_orders[y - 1]
     )
-    sigma = lift(SetMap._raw(m, m, tuple(sigma_vals)), "injection")
-    pi = lift(SetMap._raw(m, r, pi_vals), "canonical")
-    iota = lift(SetMap._raw(r, n, tuple(image)), "injection")
+    sigma = lift(SetMap._raw(m, m, tuple(sigma_vals)))
+    pi = lift(SetMap._raw(m, r, pi_vals))
+    iota = lift(SetMap._raw(r, n, tuple(image)))
     return sigma, pi, iota
 
 
@@ -591,7 +578,7 @@ def parse_nmor(text):
     sm, pos = _parse_setmap_prefix(text)
     if pos == len(text):
         if sm.cod == 0:
-            return lift(sm, "canonical")
+            return lift(sm)
         raise ParseError("expected ' | orders: ...' section", pos)
     marker = " | orders: "
     if not text.startswith(marker, pos):

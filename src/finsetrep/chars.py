@@ -175,6 +175,8 @@ def fit_character_polynomial(V, max_degree, fit_levels, test_levels):
     fit levels, then verifies exactly on the disjoint test levels.  Returns
     the polynomial, or the first failing (level, partition) witness.
     """
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative, got %d" % max_degree)
     fit_levels = sorted(fit_levels)
     test_levels = sorted(test_levels)
     if set(fit_levels) & set(test_levels):
@@ -203,8 +205,9 @@ def fit_character_polynomial(V, max_degree, fit_levels, test_levels):
 
 @dataclass(frozen=True)
 class BinomialPolynomial:
-    """Polynomial in ``n`` expressed over the basis ``C(n-1, j)``; unlike the
-    conormalized dimension polynomial, coefficients may be any rationals."""
+    """Polynomial in ``n`` expressed over the basis ``C(n-1, j)``, with any
+    rational coefficients; :func:`finsetrep.doldkan.dim_polynomial` returns
+    one with the conormalized dimensions as its coefficients."""
     coefficients: tuple
 
     def evaluate(self, n):
@@ -235,6 +238,8 @@ def fit_dimension_polynomial(seq, max_degree):
     failing index is reported as the witness.  Requires at least
     ``max_degree + 2`` values so that at least one check happens.
     """
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative, got %d" % max_degree)
     seq = [x if isinstance(x, Fraction) else Fraction(x) for x in seq]
     if len(seq) < max_degree + 2:
         raise ValueError("need at least %d values to fit and verify" % (max_degree + 2))

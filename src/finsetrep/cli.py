@@ -91,8 +91,13 @@ def _cmd_compose(args):
 
 
 def _cmd_lift(args):
+    # every mode computes the same lift; --mode only restricts what it accepts
     sm = catcore.parse_setmap(args.map)
-    print(catcore.format_mor(catcore.lift(sm, args.mode)))
+    if args.mode == "injection" and not sm.is_injective():
+        raise _UsageError("injection lift of a non-injective map %r" % (sm.values,))
+    if args.mode == "delta" and not sm.is_monotone():
+        raise _UsageError("delta lift of a non-monotone map %r" % (sm.values,))
+    print(catcore.format_mor(catcore.lift(sm)))
     return 0
 
 

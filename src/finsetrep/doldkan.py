@@ -14,9 +14,10 @@ surjection, with identity and differential blocks), with all structure maps
 transposed; finite dimensions make the dualization exact.
 
 The level dimensions of any Delta module therefore agree with the binomial
-polynomial ``sum_p m_p * C(n-1, p)`` built from the conormalized dimensions;
-:func:`dim_polynomial` extracts that polynomial and verifies the agreement at
-every level, with zero residual.
+polynomial ``sum_p m_p * C(n-1, p)`` built from the conormalized dimensions.
+:func:`conormalize` enforces that agreement at every level (zero residual)
+and raises otherwise; :func:`dim_polynomial` reads the polynomial off the
+conormalized dimensions and does not check it a second time.
 
 Cochain text format (versioned header ``cochain/1``): top degree, dimension
 line, then one labeled matrix block per differential.
@@ -25,14 +26,14 @@ line, then one labeled matrix block per differential.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .catcore import (
     DELTA, DeltaMor, ParseError, coface_map, codegen_map, parse_count,
 )
+from .chars import BinomialPolynomial
 from .exactla import (
-    ONE, ZERO, Matrix, format_matrix, kernel, parse_matrix, solve, vstack,
+    ONE, Matrix, format_matrix, kernel, parse_matrix, solve, vstack,
 )
 from .repmod import CatModule, FunctorialityError
 
@@ -82,35 +83,6 @@ def one_term_complex(p, dim=1):
     dims[p] = dim
     diffs = [Matrix.zeros(dims[q + 1], dims[q]) for q in range(p)]
     return CochainComplex(p, dims, diffs)
-
-
-@dataclass(frozen=True)
-class DimPolynomial:
-    """Level-dimension polynomial in the binomial basis ``C(n-1, p)``.
-
-    Coefficients are the conormalized dimensions, hence nonnegative.
-    """
-    coefficients: tuple
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.coefficients):
-            raise ValueError("binomial coefficients of a dimension polynomial are nonnegative")
-
-    def evaluate(self, n):
-        return sum(m * comb(n - 1, p) for p, m in enumerate(self.coefficients))
-
-    @property
-    def degree(self):
-        deg = -1
-        for p, m in enumerate(self.coefficients):
-            if m:
-                deg = p
-        return deg
-
-    def __str__(self):
-        terms = [str(m) if p == 0 else "%d*C(n-1,%d)" % (m, p)
-                 for p, m in enumerate(self.coefficients) if m]
-        return " + ".join(terms) if terms else "0"
 
 
 def _codegeneracies_into(V, n):
@@ -167,15 +139,10 @@ def conormalize(V):
 def dim_polynomial(V):
     """Binomial dimension polynomial of a Delta module.
 
-    The coefficients are the conormalized dimensions; agreement with
-    ``V.dims`` at every level ``1..max_level`` is asserted (zero residual).
+    The coefficients are the conormalized dimensions; :func:`conormalize`
+    has already checked agreement with ``V.dims`` at every level.
     """
-    complex_ = conormalize(V)
-    poly = DimPolynomial(complex_.dims)
-    for n in range(1, V.max_level + 1):
-        if poly.evaluate(n) != V.dims[n]:
-            raise FunctorialityError("dimension polynomial mismatch at level %d" % n)
-    return poly
+    return BinomialPolynomial(conormalize(V).dims)
 
 
 # ---------------------------------------------------------------------------
@@ -206,52 +173,37 @@ def realize(C, max_level):
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    summands = {0: ()}
-    offsets = {0: {}}
+    offsets = {}        # level -> {(p, eta): first row}, in summand order
     dims = [0] * (max_level + 1)
     for n in range(1, max_level + 1):
-        lst = []
+        offs = offsets[n] = {}
         for p in range(C.top + 1):
-            if C.dims[p] == 0:
-                continue
-            for eta in monotone_surjections(n, p + 1):
-                lst.append((p, eta))
-        summands[n] = tuple(lst)
-        offs = {}
-        total = 0
-        for p, eta in lst:
-            offs[(p, eta)] = total
-            total += C.dims[p]
-        offsets[n] = offs
-        dims[n] = total
+            if C.dims[p]:
+                for eta in monotone_surjections(n, p + 1):
+                    offs[(p, eta)] = dims[n]
+                    dims[n] += C.dims[p]
 
     def columns(d):
         m, n = d.map.dom, d.map.cod
-        grid = [[ZERO] * dims[m] for _ in range(dims[n])]
         dvals = d.map.values
         offs_m = offsets[m]
-        for (p, eta), roff in ((s, offsets[n][s]) for s in summands[n]):
+        # summands come in row order, so each column's rows come out sorted
+        cols = [[] for _ in range(dims[m])]
+        for (p, eta), roff in offsets[n].items():
             theta = tuple(eta[v - 1] for v in dvals)
             hit = set(theta)
             if len(hit) == p + 1:
                 # still surjective: identity block into the (p, theta) summand
                 coff = offs_m[(p, theta)]
                 for t in range(C.dims[p]):
-                    grid[roff + t][coff + t] = ONE
+                    cols[coff + t].append((roff + t, ONE))
             elif p >= 1 and C.dims[p - 1] and len(hit) == p and max(theta) == p:
                 # misses exactly the top point: differential block
                 coff = offs_m[(p - 1, theta)]
-                block = C.diffs[p - 1]
-                for t in range(C.dims[p]):
-                    row = block.data[t]
-                    for u in range(C.dims[p - 1]):
-                        if row[u]:
-                            grid[roff + t][coff + u] = row[u]
-        cols = [[] for _ in range(dims[m])]
-        for r, row in enumerate(grid):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j].append((r, x))
+                for t, row in enumerate(C.diffs[p - 1].data):
+                    for u, x in enumerate(row):
+                        if x:
+                            cols[coff + u].append((roff + t, x))
         return tuple(tuple(col) for col in cols)
 
     return CatModule(DELTA, max_level, tuple(dims), columns=columns,

@@ -52,13 +52,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows, cols=None):
-        rows = [tuple(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def from_columns(cls, columns, rows):
         cols = len(columns)
         data = [[ZERO] * cols for _ in range(rows)]
@@ -132,22 +125,12 @@ class Matrix:
             out.append(tuple(acc))
         return Matrix._make(self.rows, ocols, tuple(out))
 
-    def scale(self, c):
-        c = c if type(c) is Fraction else Fraction(c)
-        return Matrix._make(self.rows, self.cols,
-                            tuple(tuple(c * x for x in row) for row in self.data))
-
     def transpose(self):
         return Matrix._make(self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     def col(self, j):
         """Column ``j`` (0-based) as a tuple."""
         return tuple(row[j] for row in self.data)
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)

@@ -143,7 +143,7 @@ def barred_map(V, f):
     expressed in the invariant bases of source and target levels.
     """
     if V.category is N and isinstance(f, SetMap):
-        f = lift(f, "canonical")
+        f = lift(f)
     elif V.category is not N and isinstance(f, NMor):
         f = forget(f)
     src = invariants_basis(V, f.dom)

@@ -170,13 +170,7 @@ class CatModule:
             inj = SetMap._raw(len(image), sm.cod, tuple(image))
             return tuple(("coface", n, i) for n, i in injection_chain(inj)) + \
                 tuple(("codegen", n, i) for n, i in surjection_chain(surj))
-        if cat is N:
-            nm = f
-        elif cat is FI:
-            nm = lift(f, "injection")
-        else:
-            nm = lift(f, "canonical")
-        sigma, pi, iota = factorize(nm)
+        sigma, pi, iota = factorize(f if cat is N else lift(f))
         return tuple(("coface", n, i) for n, i in injection_chain(iota.map)) + \
             tuple(("codegen", n, i) for n, i in surjection_chain(pi.map)) + \
             tuple(("transp", n, i) for n, i in permutation_chain(sigma.map.values))
@@ -241,7 +235,7 @@ def permutation_action(V, values):
     if not sm.is_bijective():
         raise ValueError("not a bijection: %r" % (values,))
     if V.category is N:
-        return V.columns(lift(sm, "injection"))
+        return V.columns(lift(sm))
     if V.category is DELTA:
         raise ValueError("Delta has no nontrivial bijections to act with")
     return V.columns(sm)
@@ -409,7 +403,7 @@ def restrict(V, along):
         dims = (0,) + V.dims[1:]
         return CatModule(
             DELTA, V.max_level, dims,
-            columns=lambda d: V.columns(lift(d, "delta")),
+            columns=lambda d: V.columns(lift(d)),
             name="%s|Delta" % (V.name or "V"),
         )
     if along == "phi":
@@ -469,7 +463,7 @@ def _spans_from(V, g):
             ident = catcore.format_mor(_identity_mor(V.category, n))
             witnesses[n] = tuple((ident, j) for j in range(V.dims[n]))
             continue
-        rows = []          # collected column vectors, as rows for rank work
+        vectors = []       # collected column vectors
         provenance = []
         for j in range(1 if V.category is DELTA else 0, g + 1):
             if V.dims[j] == 0:
@@ -480,12 +474,11 @@ def _spans_from(V, g):
                         vec = [ZERO] * V.dims[n]
                         for r, c in col:
                             vec[r] = c
-                        rows.append(vec)
+                        vectors.append(vec)
                         provenance.append((catcore.format_mor(f), idx))
-        if not rows:
+        if not vectors:
             return None
-        stacked = Matrix.from_rows(rows, V.dims[n])
-        rref, rk, pivots = reduce(stacked.transpose())
+        rref, rk, pivots = reduce(Matrix.from_columns(vectors, V.dims[n]))
         if rk < V.dims[n]:
             return None
         witnesses[n] = tuple(provenance[p - 1] for p in pivots)
@@ -537,7 +530,7 @@ def elementary_morphism(category, key):
     if category is DELTA:
         return DeltaMor(sm)
     if category is N:
-        return lift(sm, "injection" if kind in ("coface", "transp") else "delta")
+        return lift(sm)
     return sm
 
 

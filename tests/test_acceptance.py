@@ -4,11 +4,15 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the one-line report
 per criterion; the CLI equivalent is ``finsetrep verify --seed 7``.
 """
 
+from pathlib import Path
+
 import pytest
 
 from finsetrep.acceptance import render_report, run_all
 
 SEED = 7
+# the exact text of ``finsetrep verify --seed 7``: a change to it must be deliberate
+PINNED_REPORT = Path(__file__).parent / "data" / "verify_seed7.txt"
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,10 @@ def test_criterion_09_admissible_word_oracle(report):
 
 def test_criterion_10_determinism(report):
     _check(report, 10)
+
+
+def test_report_matches_the_pinned_text(report):
+    assert render_report(report, SEED) == PINNED_REPORT.read_text()
 
 
 def test_full_report_is_byte_deterministic(report):

@@ -17,7 +17,7 @@ def nmor(dom, cod, values, orders):
 # -- composition ------------------------------------------------------------
 
 def test_compose_identity_leaves_f_unchanged():
-    f = lift(SetMap(2, 1, (1, 1)), "canonical")
+    f = lift(SetMap(2, 1, (1, 1)))
     assert compose_n(identity_n(1), f) == f
 
 
@@ -78,31 +78,24 @@ def test_monotone_lift_functorial_exhaustive_sizes_5():
             es = enumerate_hom(DELTA, a, b)
             for c in range(1, 6):
                 for d in enumerate_hom(DELTA, b, c):
-                    ld = lift(d, "delta")
+                    ld = lift(d)
                     for e in es:
-                        assert lift(compose_delta(d, e), "delta") == compose_n(ld, lift(e, "delta"))
+                        assert lift(compose_delta(d, e)) == compose_n(ld, lift(e))
 
 
 # -- lifting and forgetting ---------------------------------------------------
 
 def test_lift_delta_orders_fibers_increasing():
-    assert lift(SetMap(2, 1, (1, 1)), "delta").fiber_orders == ((1, 2),)
+    assert lift(SetMap(2, 1, (1, 1))).fiber_orders == ((1, 2),)
 
 
 def test_lift_injection_unique_singleton_fibers():
-    f = lift(SetMap(2, 3, (1, 3)), "injection")
+    f = lift(SetMap(2, 3, (1, 3)))
     assert all(len(fib) <= 1 for fib in f.fiber_orders)
 
 
 def test_lift_canonical_increasing():
     assert lift(SetMap(3, 1, (1, 1, 1))).fiber_orders == ((1, 2, 3),)
-
-
-def test_lift_mode_errors():
-    with pytest.raises(ValueError):
-        lift(SetMap(2, 1, (1, 1)), "injection")
-    with pytest.raises(ValueError):
-        lift(SetMap(2, 2, (2, 1)), "delta")
 
 
 def test_forget_section_and_two_lifts():
@@ -169,7 +162,7 @@ def test_factorize_collapse_with_reversed_order():
 
 
 def test_factorize_injection_sorts_by_image():
-    f = lift(SetMap(2, 3, (3, 1)), "injection")
+    f = lift(SetMap(2, 3, (3, 1)))
     s, p, i = factorize(f)
     assert s.map.values == (2, 1)
     assert i.map.values == (1, 3)

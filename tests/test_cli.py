@@ -39,6 +39,25 @@ def test_compose_and_lift(capsys):
     assert code == 0 and out.strip() == "3->1: 1,1,1 | orders: 1:(1,2,3)"
 
 
+def test_lift_modes_accept_and_refuse(capsys):
+    # every mode prints the same lift; injection and delta only refuse input
+    accepted = {
+        "canonical": ("3->2: 1,2,1", "3->2: 1,2,1 | orders: 1:(1,3); 2:(2)"),
+        "injection": ("2->3: 3,1", "2->3: 3,1 | orders: 1:(2); 2:(); 3:(1)"),
+        "delta": ("3->3: 1,1,2", "3->3: 1,1,2 | orders: 1:(1,2); 2:(3); 3:()"),
+    }
+    for mode, (text, lifted) in accepted.items():
+        code, out, err = run_cli(capsys, "lift", "--map", text, "--mode", mode)
+        assert (code, out, err) == (0, lifted + "\n", "")
+    refused = (
+        ("injection", "2->1: 1,1", "error: injection lift of a non-injective map (1, 1)\n"),
+        ("delta", "2->2: 2,1", "error: delta lift of a non-monotone map (2, 1)\n"),
+    )
+    for mode, text, message in refused:
+        code, out, err = run_cli(capsys, "lift", "--map", text, "--mode", mode)
+        assert (code, out, err) == (2, "", message)
+
+
 def test_malformed_morphism_exits_2(capsys):
     code, _, err = run_cli(capsys, "lift", "--map", "3->1 1,1,1")
     assert code == 2 and "error" in err
@@ -74,6 +93,17 @@ def test_fit_dimpoly_values(capsys):
     code, out, _ = run_cli(capsys, "fit", "dimpoly", "--d", "1",
                            "--values", "1 2 4 8 16")
     assert code == 1 and "inconsistent" in out
+
+
+def test_fit_rejects_a_negative_degree(capsys, monkeypatch):
+    message = "error: degree must be nonnegative, got -1\n"
+    code, out, err = run_cli(capsys, "fit", "dimpoly", "--d", "-1", "--values", "1 2 3")
+    assert (code, out, err) == (2, "", message)
+    code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "2", "--max", "4")
+    monkeypatch.setattr("sys.stdin", io.StringIO(module_text))
+    code, out, err = run_cli(capsys, "fit", "charpoly", "--d", "-1",
+                             "--fit", "1..3", "--test", "4")
+    assert (code, out, err) == (2, "", message)
 
 
 def test_doldkan_pipeline(tmp_path, capsys):

@@ -5,14 +5,14 @@ from math import comb
 import pytest
 
 from finsetrep.catcore import DELTA, compose_delta, enumerate_hom, hom_count
-from finsetrep.chars import fit_dimension_polynomial
+from finsetrep.chars import BinomialPolynomial, fit_dimension_polynomial
 from finsetrep.doldkan import (
-    CochainComplex, DimPolynomial, conormalize, dim_polynomial,
+    CochainComplex, conormalize, dim_polynomial,
     monotone_surjections, one_term_complex, read_complex, realize,
     write_complex,
 )
-from finsetrep.exactla import Matrix, ONE, kernel, rank
-from finsetrep.repmod import CatModule, check_functoriality, restrict
+from finsetrep.exactla import Matrix, ONE, ZERO, kernel, rank
+from finsetrep.repmod import CatModule, FunctorialityError, check_functoriality, restrict
 from finsetrep.simples import make_simple
 
 
@@ -97,6 +97,74 @@ def test_realize_is_functorial():
         assert report.passed, (c.dims, report)
 
 
+def dense_realize_columns(C, max_level):
+    """The realization rule filled into a dense ``dims[n] x dims[m]`` grid of
+    ``ZERO``s and scanned back into columns: the oracle for ``realize``."""
+    summands = {0: ()}
+    offsets = {0: {}}
+    dims = [0] * (max_level + 1)
+    for n in range(1, max_level + 1):
+        lst = []
+        for p in range(C.top + 1):
+            if C.dims[p] == 0:
+                continue
+            for eta in monotone_surjections(n, p + 1):
+                lst.append((p, eta))
+        summands[n] = tuple(lst)
+        offs = {}
+        total = 0
+        for p, eta in lst:
+            offs[(p, eta)] = total
+            total += C.dims[p]
+        offsets[n] = offs
+        dims[n] = total
+
+    def columns(d):
+        m, n = d.map.dom, d.map.cod
+        grid = [[ZERO] * dims[m] for _ in range(dims[n])]
+        dvals = d.map.values
+        offs_m = offsets[m]
+        for (p, eta), roff in ((s, offsets[n][s]) for s in summands[n]):
+            theta = tuple(eta[v - 1] for v in dvals)
+            hit = set(theta)
+            if len(hit) == p + 1:
+                coff = offs_m[(p, theta)]
+                for t in range(C.dims[p]):
+                    grid[roff + t][coff + t] = ONE
+            elif p >= 1 and C.dims[p - 1] and len(hit) == p and max(theta) == p:
+                coff = offs_m[(p - 1, theta)]
+                block = C.diffs[p - 1]
+                for t in range(C.dims[p]):
+                    row = block.data[t]
+                    for u in range(C.dims[p - 1]):
+                        if row[u]:
+                            grid[roff + t][coff + u] = row[u]
+        cols = [[] for _ in range(dims[m])]
+        for r, row in enumerate(grid):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j].append((r, x))
+        return tuple(tuple(col) for col in cols)
+
+    return CatModule(DELTA, max_level, tuple(dims), columns=columns, name="dense-realize")
+
+
+def test_realize_matches_the_dense_grid_oracle():
+    rng = random.Random(59)
+    complexes = [one_term_complex(p) for p in range(4)]
+    complexes += [random_complex(rng) for _ in range(20)]
+    # the random complexes carry differentials with entries other than 0, 1
+    assert any(x not in (0, 1) for c in complexes for d in c.diffs
+               for row in d.data for x in row)
+    for c in complexes:
+        module, oracle = realize(c, 5), dense_realize_columns(c, 5)
+        assert module.dims == oracle.dims
+        for a in range(1, 6):
+            for b in range(1, 6):
+                for d in enumerate_hom(DELTA, a, b):
+                    assert module.columns(d) == oracle.columns(d), (c.dims, d)
+
+
 def test_monotone_surjection_count():
     for n in range(1, 8):
         for r in range(1, n + 1):
@@ -146,9 +214,27 @@ def test_dim_polynomial_examples():
     assert const.evaluate(3) == 1 and const.degree == 0
 
 
-def test_dim_polynomial_rejects_negative_coefficients():
-    with pytest.raises(ValueError):
-        DimPolynomial((1, -1))
+def test_dim_polynomial_is_the_binomial_polynomial_of_the_conormalized_dims():
+    module = restrict(make_simple("Ck", 6, k=2), "psi")
+    poly = dim_polynomial(module)
+    assert isinstance(poly, BinomialPolynomial)
+    assert poly.coefficients == conormalize(module).dims == (0, 1, 1, 0, 0, 0)
+    assert str(poly) == "1*C(n-1,1) + 1*C(n-1,2)"
+    assert str(dim_polynomial(realize(one_term_complex(0), 4))) == "1"
+
+
+def test_dim_polynomial_refuses_a_broken_dimension_identity():
+    # a non-functor whose codegeneracy V[2] -> V[1] is zero: its codegeneracy
+    # kernel is all of V[2], so the dimension identity reads 1 + 1 != 1 at
+    # level 2; conormalize is the one place that checks it
+    def columns(d):
+        if d.dom == d.cod and d.map.values == tuple(range(1, d.dom + 1)):
+            return ((0, 1),)
+        return ((),)
+
+    module = CatModule(DELTA, 2, (0, 1, 1), columns=columns, name="zero-codegeneracy")
+    with pytest.raises(FunctorialityError, match="dimension identity fails at level 2: 2 != 1"):
+        dim_polynomial(module)
 
 
 def test_free_module_dimension_bound():

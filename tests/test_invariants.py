@@ -104,7 +104,7 @@ def test_projector_idempotent_and_fixed_by_transpositions():
             for i in range(1, n):
                 swap = tuple(i + 1 if x == i else i if x == i + 1 else x
                              for x in range(1, n + 1))
-                mats = module.act(lift(SetMap(n, n, swap), "injection")) \
+                mats = module.act(lift(SetMap(n, n, swap))) \
                     if module.category is N else module.act(SetMap(n, n, swap))
                 assert mats * ib.basis == ib.basis
 

@@ -49,7 +49,7 @@ def test_act_identity_is_identity():
 
 def test_act_subset_pushforward():
     C2 = make_simple("Ck", 4, k=2)
-    f = lift(SetMap(2, 3, (1, 3)), "injection")
+    f = lift(SetMap(2, 3, (1, 3)))
     mat = C2.act(f)
     # basis of level 3 is {1,2} < {1,3} < {2,3}; the image {1,3} sits in row 2
     assert mat == Matrix(3, 1, [[0], [1], [0]])
@@ -127,7 +127,7 @@ def dense_chain_product(category, dims, mats, f):
         keys = [("coface", n, i) for n, i in injection_chain(inj)] + \
             [("codegen", n, i) for n, i in surjection_chain(surj)]
     else:
-        nm = f if category is N else lift(f, "injection" if category is FI else "canonical")
+        nm = f if category is N else lift(f)
         sigma, pi, iota = factorize(nm)
         keys = [("coface", n, i) for n, i in injection_chain(iota.map)] + \
             [("codegen", n, i) for n, i in surjection_chain(pi.map)] + \
@@ -216,7 +216,7 @@ def test_sparse_evaluation_matches_dense_chain_product(name, cat, dims, mats, mo
 def test_columns_coefficients_are_never_float():
     # a rule may hand back any exact number type; none survives as a float
     V = CatModule(N, 2, (1, 1, 1), columns=lambda f: (((0, 1.5 if f.dom == f.cod else 2.0),),))
-    f = lift(SetMap(1, 2, (1,)), "injection")
+    f = lift(SetMap(1, 2, (1,)))
     assert V.columns(identity_n(1)) == (((0, Fraction(3, 2)),),)
     assert V.columns(f) == (((0, 2),),) and type(V.columns(f)[0][0][1]) is int
     assert all(type(x) is Fraction for row in V.act(f).data for x in row)
@@ -542,7 +542,7 @@ def test_restrict_psi_dims_and_agreement():
     for a in range(1, 5):
         for b in range(1, 5):
             for d in enumerate_hom(DELTA, a, b):
-                assert W.act(d) == C1.act(lift(d, "delta"))
+                assert W.act(d) == C1.act(lift(d))
 
 
 def test_restrict_d1_psi_all_ones():
@@ -581,7 +581,7 @@ def test_direct_sum_dims_and_block_action():
     C1 = make_simple("Ck", 4, k=1)
     C2 = make_simple("Ck", 4, k=2)
     s = direct_sum(C1, C2)
-    f = lift(SetMap(2, 3, (2, 3)), "injection")
+    f = lift(SetMap(2, 3, (2, 3)))
     top = C1.act(f)
     bot = C2.act(f)
     mat = s.act(f)
