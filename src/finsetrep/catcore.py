@@ -311,10 +311,16 @@ def lift(m):
     is not checked; ``finsetrep lift --mode`` checks its own input.
     """
     sm = m.map if isinstance(m, DeltaMor) else m
+    return NMor._raw(sm, increasing_fibers(sm))
+
+
+def increasing_fibers(sm):
+    """Fibers of the set map ``sm``, each in increasing order: entry ``y-1``
+    lists the preimage of ``y``."""
     fibers = [[] for _ in range(sm.cod)]
     for x, v in enumerate(sm.values, 1):
         fibers[v - 1].append(x)
-    return NMor._raw(sm, tuple(tuple(fib) for fib in fibers))
+    return tuple(tuple(fib) for fib in fibers)
 
 
 def forget(f):
@@ -385,29 +391,37 @@ def hom_count(cat, m, n):
 # ---------------------------------------------------------------------------
 # canonical factorization in N
 
-def factorize(f):
-    """Write an N-morphism as ``iota o pi o sigma``.
+def factor_values(fibers):
+    """Value sequences ``(sigma, pi, image)`` of the canonical factorization
+    ``iota o pi o sigma`` of the N-morphism with fiber orders ``fibers``.
 
-    ``sigma`` is the unique lift of the bijection obtained by stable-sorting
-    the domain by (image value, fiber position); ``pi`` is the increasing-
-    fiber lift of a monotone surjection; ``iota`` is the unique lift of a
-    monotone injection.  ``compose_n(iota, compose_n(pi, sigma)) == f``.
+    ``sigma`` is the bijection numbering the domain fiber by fiber, each
+    fiber in its order; ``pi`` is the monotone surjection onto ``[r]``, for
+    ``r`` nonempty fibers, sending the ``j``-th block of that numbering to
+    ``j``; ``image`` lists the values of the monotone injection
+    ``iota: [r] -> [cod]``, the points with a nonempty fiber.
     """
-    sm = f.map
-    m, n = sm.dom, sm.cod
-    ordered = [x for fib in f.fiber_orders for x in fib]
-    sigma_vals = [0] * m
+    ordered = [x for fib in fibers for x in fib]
+    sigma = [0] * len(ordered)
     for pos, x in enumerate(ordered, 1):
-        sigma_vals[x - 1] = pos
-    image = [y for y in range(1, n + 1) if f.fiber_orders[y - 1]]
-    r = len(image)
-    pi_vals = tuple(
-        j for j, y in enumerate(image, 1) for _ in f.fiber_orders[y - 1]
-    )
-    sigma = lift(SetMap._raw(m, m, tuple(sigma_vals)))
-    pi = lift(SetMap._raw(m, r, pi_vals))
-    iota = lift(SetMap._raw(r, n, tuple(image)))
-    return sigma, pi, iota
+        sigma[x - 1] = pos
+    image = tuple(y for y, fib in enumerate(fibers, 1) if fib)
+    pi = tuple(j for j, y in enumerate(image, 1) for _ in fibers[y - 1])
+    return tuple(sigma), pi, image
+
+
+def factorize(f):
+    """Write an N-morphism as ``iota o pi o sigma``, the lifts of the value
+    sequences of :func:`factor_values`.
+
+    ``sigma`` and ``iota`` are unique lifts of a bijection and a monotone
+    injection, and ``pi`` is the increasing-fiber lift of a monotone
+    surjection.  ``compose_n(iota, compose_n(pi, sigma)) == f``.
+    """
+    sigma, pi, image = factor_values(f.fiber_orders)
+    m, r = len(sigma), len(image)
+    return (lift(SetMap._raw(m, m, sigma)), lift(SetMap._raw(m, r, pi)),
+            lift(SetMap._raw(r, f.cod, image)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,33 @@ and evaluated as exact matrices.  Two backends exist:
 * an *elementary* backend stores explicit matrices for the elementary
   morphisms between consecutive levels -- cofaces, codegeneracies and
   adjacent transpositions -- and evaluates arbitrary morphisms through the
-  canonical factorization of :func:`finsetrep.catcore.factorize`.
+  canonical factorization ``f = iota o pi o sigma`` of
+  :func:`finsetrep.catcore.factor_values`.
 
 Both backends evaluate a morphism to sparse columns first: for each basis
 vector of the source, the ``(row, coeff)`` pairs of its image.  A coefficient
 is an ``int`` when it is integral and a ``Fraction`` only otherwise, so the
 unit-vector columns that dominate these modules never touch ``Fraction``
 arithmetic; :func:`compose_columns` keeps that form.  An elementary backend
-composes the cached sparse columns of its blocks along the factorization
-chain.  :meth:`CatModule.act` densifies the columns into a
+evaluates ``V(f) = V(iota o pi) . V(sigma)``, each factor the product of the
+cached sparse columns of its blocks along its elementary chain.  The
+morphisms of a hom set share most of their factors, so
+:meth:`CatModule.evaluator` returns a function that keeps each factor it has
+built, one table for the permutations and one for the monotone parts, for
+as long as the function lives; a caller evaluating many morphisms takes one
+evaluator per call, and :meth:`CatModule.columns` is the same function with
+fresh tables.  :meth:`CatModule.act` densifies the columns into a
 :class:`~finsetrep.exactla.Matrix`, whose entries are always ``Fraction``.
 
 Well-definedness of an elementary backend is never assumed: it is certified
 by :func:`check_functoriality`, which tests the functor laws on composable
 pairs (exhaustively whenever that is cheap enough, otherwise on a seeded
-random sample).  The exhaustive check evaluates each morphism once and
-interns every distinct column to an int, so a matrix is a tuple of column
-ids.  Composites are keyed by value tuples (fiber orders in N), spelled as
-strings and composed by ``str.translate``, and each ``g`` maps column ids
-through a memo of its action on single columns: a pair costs a few dict
-lookups, and a morphism is built only for a composite not seen before.
+random sample).  The exhaustive check evaluates each morphism once, when its
+hom set is first visited, and interns every distinct column to an int, so a
+matrix is a tuple of column ids.  Morphisms are keyed by value tuples (fiber
+orders in N), spelled as strings and composed by ``str.translate``, and each
+``g`` maps column ids through a memo of its action on single columns: a pair
+costs a few dict lookups, and builds no morphism.
 
 Module file format (versioned header ``catmod/1``): category tag, truncation
 level, dimension line, then one labeled matrix block per elementary morphism
@@ -45,9 +52,9 @@ from . import catcore
 from .catcore import (
     DELTA, F, FI, N, CategoryTag, DeltaMor, NMor, ParseError, SetMap,
     category_tag, coface_map, codegen_map, compose_in, enumerate_hom,
-    factorize, forget, hom_count, identity_delta, identity_map, identity_n,
-    injection_chain, lift, parse_count, permutation_chain, random_mor,
-    surjection_chain, transposition_map,
+    factor_values, forget, hom_count, identity_delta, identity_map,
+    identity_n, increasing_fibers, injection_chain, lift, parse_count,
+    permutation_chain, random_mor, surjection_chain, transposition_map,
 )
 from .exactla import ZERO, Matrix, parse_matrix, reduce
 
@@ -125,14 +132,64 @@ class CatModule:
         """Sparse columns of the acting matrix: for each basis vector of the
         source, a tuple of ``(row, coeff)`` pairs sorted by row, with ``coeff``
         an ``int`` when integral and a ``Fraction`` otherwise."""
-        f = self._coerce(f)
         if self._rule is not None:
+            f = self._coerce(f)
             return _normalize_columns(self._rule(f), self.dims[f.cod])
-        cols = None
-        for key in reversed(self._chain(f)):
-            block = self._block_columns(key)
-            cols = block if cols is None else compose_columns(block, cols)
-        return identity_columns(self.dims[f.dom]) if cols is None else cols
+        return self.evaluator()(f)
+
+    def evaluator(self):
+        """A function equal to :meth:`columns`, for evaluating many morphisms.
+
+        An elementary module writes ``f`` as ``iota o pi o sigma``
+        (:func:`~finsetrep.catcore.factor_values`) and returns
+        ``V(iota o pi) . V(sigma)``, each factor the product of its
+        elementary blocks along the chains of :mod:`~finsetrep.catcore`.
+        The function keeps the factors it has built in two tables, ``V(sigma)``
+        by ``sigma`` and ``V(iota o pi)`` by ``(pi, image, cod)`` (in Delta,
+        where ``sigma`` is the identity, by ``(values, cod)``), and the tables
+        live exactly as long as the function.  A rule module returns its own
+        :meth:`columns`.
+        """
+        if self._rule is not None:
+            return self.columns
+        coerce, block, dims = self._coerce, self._block_columns, self.dims
+        delta, nmor = self.category is DELTA, self.category is N
+        perms, monos = {}, {}
+
+        def fold(keys, dim):
+            cols = None
+            for key in reversed(keys):
+                b = block(key)
+                cols = b if cols is None else compose_columns(b, cols)
+            return identity_columns(dim) if cols is None else cols
+
+        def monotone(pi, image, cod):
+            m, r = len(pi), len(image)
+            return fold([("coface", n, i) for n, i in injection_chain(SetMap._raw(r, cod, image))]
+                        + [("codegen", n, i) for n, i in surjection_chain(SetMap._raw(m, r, pi))],
+                        dims[m])
+
+        def evaluate(f):
+            f = coerce(f)
+            if delta:
+                key = (f.map.values, f.cod)
+                got = monos.get(key)
+                if got is None:
+                    _, pi, image = factor_values(increasing_fibers(f.map))
+                    got = monos[key] = monotone(pi, image, f.cod)
+                return got
+            sigma, pi, image = factor_values(f.fiber_orders if nmor else increasing_fibers(f))
+            s = perms.get(sigma)
+            if s is None:
+                s = perms[sigma] = fold([("transp", n, i) for n, i in permutation_chain(sigma)],
+                                        dims[len(sigma)])
+            key = (pi, image, f.cod)
+            t = monos.get(key)
+            if t is None:
+                t = monos[key] = monotone(pi, image, f.cod)
+            return compose_columns(t, s)
+
+        return evaluate
 
     def act(self, f):
         """Dense acting matrix, of shape ``dims[cod] x dims[dom]``."""
@@ -158,22 +215,6 @@ class CatModule:
                         cols[j].append((r, _coefficient(x)))
             got = self.memo[key] = tuple(tuple(col) for col in cols)
         return got
-
-    def _chain(self, f):
-        """Elementary keys whose composite is ``f``, outermost first."""
-        cat = self.category
-        if cat is DELTA:
-            sm = f.map
-            image = sorted(set(sm.values))
-            surj = SetMap._raw(sm.dom, len(image),
-                               tuple(image.index(v) + 1 for v in sm.values))
-            inj = SetMap._raw(len(image), sm.cod, tuple(image))
-            return tuple(("coface", n, i) for n, i in injection_chain(inj)) + \
-                tuple(("codegen", n, i) for n, i in surjection_chain(surj))
-        sigma, pi, iota = factorize(f if cat is N else lift(f))
-        return tuple(("coface", n, i) for n, i in injection_chain(iota.map)) + \
-            tuple(("codegen", n, i) for n, i in surjection_chain(pi.map)) + \
-            tuple(("transp", n, i) for n, i in permutation_chain(sigma.map.values))
 
 
 def _coefficient(c):
@@ -270,8 +311,9 @@ def check_functoriality(V, trials=500, seed=0):
         raise ValueError("trials must be positive")
     cat = V.category
     levels = list(V.levels)
+    columns = V.evaluator()
     for n in levels:
-        if V.columns(_identity_mor(cat, n)) != identity_columns(V.dims[n]):
+        if columns(_identity_mor(cat, n)) != identity_columns(V.dims[n]):
             return FunctorialityReport(False, 0, False, ("identity", n))
 
     def pair_count():
@@ -289,16 +331,6 @@ def check_functoriality(V, trials=500, seed=0):
 
     total = pair_count()
     checked = 0
-    cache = {}
-
-    def cols(m):
-        got = cache.get(m)
-        if got is None:
-            got = cache[m] = V.columns(m)
-        return got
-
-    def check_pair(f, g):
-        return cols(compose_in(cat, g, f)) == compose_columns(cols(g), cols(f))
 
     if total <= trials:
         # Each distinct column is interned to an int, so a matrix is a tuple
@@ -306,14 +338,14 @@ def check_functoriality(V, trials=500, seed=0):
         # element: its values, or in N its fibers, each ended by "\0".
         # str.translate composes two words (f's values through g's; in N,
         # g's fibers through f's), and a word keys its morphism's column
-        # ids in one dict per pair of levels.  Each g maps column ids
-        # through a memo filled one column at a time, so a pair builds no
-        # morphism and multiplies no columns unless its composite is new.
+        # ids in one dict per hom set, filled when the hom set is first
+        # visited.  Each g maps column ids through a memo filled one column
+        # at a time, so a pair builds no morphism and multiplies no columns.
         column_ids, id_columns = {}, []
 
-        def intern(columns):
+        def intern(cols):
             out = []
-            for col in columns:
+            for col in cols:
                 i = column_ids.get(col)
                 if i is None:
                     i = column_ids[col] = len(id_columns)
@@ -321,11 +353,11 @@ def check_functoriality(V, trials=500, seed=0):
                 out.append(i)
             return tuple(out)
 
-        homs, known = {}, {}
+        homs = {}
 
         def hom(a, b):
-            """hom(a, b) with the word, translation table and action memo of
-            each morphism."""
+            """hom(a, b) with the word, translation table, column ids and
+            action memo of each morphism, and the column ids by word."""
             got = homs.get((a, b))
             if got is None:
                 mors = enumerate_hom(cat, a, b)
@@ -336,32 +368,25 @@ def check_functoriality(V, trials=500, seed=0):
                 else:
                     words = ["".join(map(chr, (m.map if cat is DELTA else m).values)) for m in mors]
                     tables = ["\0" + w for w in words]
-                got = homs[a, b] = (mors, words, tables, [{} for _ in mors])
+                ids = [intern(columns(m)) for m in mors]
+                got = homs[a, b] = (mors, words, tables, ids, [{} for _ in mors],
+                                    dict(zip(words, ids)))
             return got
 
         for a in levels:
             for b in levels:
-                homs_ab, words_ab, tables_ab, _ = hom(a, b)
+                homs_ab, words_ab, tables_ab, ids_ab, _, _ = hom(a, b)
                 if not homs_ab:
                     continue
-                ids_ab = known.setdefault((a, b), {})
                 for c in levels:
-                    homs_bc, words_bc, tables_bc, acts_bc = hom(b, c)
-                    ids_bc = known.setdefault((b, c), {})
-                    ids_ac = known.setdefault((a, c), {})
-                    for g, gword, gtable, act in zip(homs_bc, words_bc, tables_bc, acts_bc):
-                        gids = ids_bc.get(gword)
-                        if gids is None:
-                            gids = ids_bc[gword] = intern(V.columns(g))
-                        for f, fword, ftable in zip(homs_ab, words_ab, tables_ab):
+                    homs_bc, words_bc, tables_bc, ids_bc, acts_bc, _ = hom(b, c)
+                    if not homs_bc:
+                        continue
+                    ids_ac = hom(a, c)[5]
+                    for g, gword, gtable, gids, act in zip(homs_bc, words_bc, tables_bc, ids_bc, acts_bc):
+                        for f, fword, ftable, fids in zip(homs_ab, words_ab, tables_ab, ids_ab):
                             checked += 1
                             key = gword.translate(ftable) if cat is N else fword.translate(gtable)
-                            want = ids_ac.get(key)
-                            if want is None:
-                                want = ids_ac[key] = intern(V.columns(compose_in(cat, g, f)))
-                            fids = ids_ab.get(fword)
-                            if fids is None:
-                                fids = ids_ab[fword] = intern(V.columns(f))
                             try:
                                 got = tuple([act[i] for i in fids])
                             except KeyError:
@@ -370,9 +395,17 @@ def check_functoriality(V, trials=500, seed=0):
                                     if i not in act:
                                         act[i] = intern(compose_columns(gc, (id_columns[i],)))[0]
                                 got = tuple([act[i] for i in fids])
-                            if got != want:
+                            if got != ids_ac[key]:
                                 return FunctorialityReport(False, checked, True, (f, g))
         return FunctorialityReport(True, checked, True, None)
+
+    cache = {}
+
+    def cols(m):
+        got = cache.get(m)
+        if got is None:
+            got = cache[m] = columns(m)
+        return got
 
     rng = random.Random(seed)
     while checked < trials:
@@ -382,7 +415,7 @@ def check_functoriality(V, trials=500, seed=0):
         f = random_mor(cat, a, b, rng)
         g = random_mor(cat, b, c, rng)
         checked += 1
-        if not check_pair(f, g):
+        if cols(compose_in(cat, g, f)) != compose_columns(cols(g), cols(f)):
             return FunctorialityReport(False, checked, False, (f, g))
     return FunctorialityReport(True, checked, False, None)
 
@@ -401,17 +434,19 @@ def restrict(V, along):
         if V.category is not N:
             raise ValueError("psi restriction applies to N-modules")
         dims = (0,) + V.dims[1:]
+        columns = V.evaluator()
         return CatModule(
             DELTA, V.max_level, dims,
-            columns=lambda d: V.columns(lift(d)),
+            columns=lambda d: columns(lift(d)),
             name="%s|Delta" % (V.name or "V"),
         )
     if along == "phi":
         if V.category is not F:
             raise ValueError("phi restriction applies to F-modules")
+        columns = V.evaluator()
         return CatModule(
             N, V.max_level, V.dims,
-            columns=lambda f: V.columns(forget(f)),
+            columns=lambda f: columns(forget(f)),
             name="%s|N" % (V.name or "V"),
         )
     raise ValueError("unknown restriction %r" % (along,))
@@ -454,6 +489,7 @@ class GenerationCertificate:
 
 
 def _spans_from(V, g):
+    columns = V.evaluator()
     witnesses = {}
     for n in V.levels:
         if V.dims[n] == 0:
@@ -469,7 +505,7 @@ def _spans_from(V, g):
             if V.dims[j] == 0:
                 continue
             for f in enumerate_hom(V.category, j, n):
-                for idx, col in enumerate(V.columns(f)):
+                for idx, col in enumerate(columns(f)):
                     if col:
                         vec = [ZERO] * V.dims[n]
                         for r, c in col:

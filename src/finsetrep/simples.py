@@ -129,6 +129,7 @@ def descends_through_phi(V, exhaustive_up_to):
     if V.category is not N:
         raise ValueError("descends_through_phi applies to N-modules")
     bound = min(exhaustive_up_to, V.max_level)
+    columns = V.evaluator()
     checked = 0
     for m in range(bound + 1):
         for n in range(bound + 1):
@@ -138,9 +139,9 @@ def descends_through_phi(V, exhaustive_up_to):
             for mors in groups.values():
                 if len(mors) < 2:
                     continue
-                base = V.columns(mors[0])
+                base = columns(mors[0])
                 for f2 in mors[1:]:
                     checked += 1
-                    if V.columns(f2) != base:
+                    if columns(f2) != base:
                         return DescendReport(False, checked, (mors[0], f2))
     return DescendReport(True, checked, None)

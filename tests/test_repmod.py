@@ -1,13 +1,16 @@
+import functools
 import gc
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from finsetrep import repmod, simples
 from finsetrep.arnold import arnold_module
 from finsetrep.catcore import (
     DELTA, F, FI, N, SetMap, compose_in, enumerate_hom, factorize, format_mor,
-    identity_n, injection_chain, lift, permutation_chain, surjection_chain,
+    hom_count, identity_n, injection_chain, lift, permutation_chain, surjection_chain,
 )
 from finsetrep.doldkan import CochainComplex, realize
 from finsetrep.exactla import Matrix, format_matrix, solve
@@ -17,7 +20,7 @@ from finsetrep.repmod import (
     generation_degree, identity_columns, read_module, restrict,
     to_elementary, write_module,
 )
-from finsetrep.simples import make_simple, order_sign_module
+from finsetrep.simples import descends_through_phi, make_simple, order_sign_module
 
 
 def injective_pushforward_module(max_level, k):
@@ -115,27 +118,42 @@ def test_elementary_backend_matches_rule_on_all_small_morphisms():
                 assert elem.act(f) == rule.act(f)
 
 
-def dense_chain_product(category, dims, mats, f):
-    """``act(f)`` as the identity-seeded product of the dense elementary
-    matrices along the canonical factorization of ``f``: the reference the
-    sparse evaluation must reproduce."""
+def chain_keys(category, f):
+    """Elementary keys whose composite is ``f``, outermost first: the chains
+    of the canonical factorization of ``f``."""
     if category is DELTA:
         sm = f.map
         image = sorted(set(sm.values))
         surj = SetMap(sm.dom, len(image), tuple(image.index(v) + 1 for v in sm.values))
         inj = SetMap(len(image), sm.cod, tuple(image))
-        keys = [("coface", n, i) for n, i in injection_chain(inj)] + \
+        return [("coface", n, i) for n, i in injection_chain(inj)] + \
             [("codegen", n, i) for n, i in surjection_chain(surj)]
-    else:
-        nm = f if category is N else lift(f)
-        sigma, pi, iota = factorize(nm)
-        keys = [("coface", n, i) for n, i in injection_chain(iota.map)] + \
-            [("codegen", n, i) for n, i in surjection_chain(pi.map)] + \
-            [("transp", n, i) for n, i in permutation_chain(sigma.map.values)]
+    nm = f if category is N else lift(f)
+    sigma, pi, iota = factorize(nm)
+    return [("coface", n, i) for n, i in injection_chain(iota.map)] + \
+        [("codegen", n, i) for n, i in surjection_chain(pi.map)] + \
+        [("transp", n, i) for n, i in permutation_chain(sigma.map.values)]
+
+
+def dense_chain_product(category, dims, mats, f):
+    """``act(f)`` as the identity-seeded product of the dense elementary
+    matrices along the canonical factorization of ``f``: the reference the
+    sparse evaluation must reproduce."""
     out = Matrix.identity(dims[f.dom])
-    for key in reversed(keys):
+    for key in reversed(chain_keys(category, f)):
         out = mats[key] * out
     return out
+
+
+def chain_fold_columns(V, f, keys):
+    """Columns of the elementary module ``V`` on ``f`` as the fold of its
+    block columns along ``keys = chain_keys(V.category, f)``, one morphism
+    at a time: the reference the shared factor tables must reproduce."""
+    cols = None
+    for key in reversed(keys):
+        block = V._block_columns(key)
+        cols = block if cols is None else compose_columns(block, cols)
+    return identity_columns(V.dims[f.dom]) if cols is None else cols
 
 
 def _cochain_fixture():
@@ -322,6 +340,124 @@ def test_corrupted_blocks_fail_at_the_same_pair():
     assert seen == set(CORRUPTION_VERDICTS)
 
 
+# (module, corrupted block): str of the default sampled check (500 pairs,
+# seed 0) after adding 1 to entry (1, 1) of the block, as recorded when
+# elementary modules were evaluated along one elementary chain per morphism
+SAMPLED_VERDICTS = {
+    # C2@3 dims (0, 0, 1, 3)
+    ('C2@3', ('coface', 2, 1)): 'functoriality FAILED after 140 pairs: (NMor(SetMap(2, 3, (2, 3)), ((), (1,), (2,))), NMor(SetMap(3, 2, (2, 1, 1)), ((2, 3), (1,))))',
+    ('C2@3', ('coface', 2, 2)): 'functoriality FAILED after 145 pairs: (NMor(SetMap(3, 3, (1, 1, 3)), ((1, 2), (), (3,))), NMor(SetMap(3, 3, (2, 1, 3)), ((2,), (1,), (3,))))',
+    ('C2@3', ('coface', 2, 3)): 'functoriality FAILED after 62 pairs: (NMor(SetMap(3, 3, (1, 2, 2)), ((1,), (2, 3), ())), NMor(SetMap(3, 3, (1, 2, 1)), ((3, 1), (2,), ())))',
+    ('C2@3', ('codegen', 2, 1)): 'functoriality FAILED after 57 pairs: (NMor(SetMap(3, 3, (1, 1, 2)), ((2, 1), (3,), ())), NMor(SetMap(3, 3, (1, 1, 3)), ((2, 1), (), (3,))))',
+    ('C2@3', ('codegen', 2, 2)): 'functoriality FAILED after 95 pairs: (NMor(SetMap(3, 2, (2, 1, 1)), ((2, 3), (1,))), NMor(SetMap(2, 3, (3, 1)), ((2,), (), (1,))))',
+    ('C2@3', ('transp', 2, 1)): 'functoriality FAILED after 95 pairs: (NMor(SetMap(3, 2, (2, 1, 1)), ((2, 3), (1,))), NMor(SetMap(2, 3, (3, 1)), ((2,), (), (1,))))',
+    ('C2@3', ('transp', 3, 1)): 'functoriality FAILED after 85 pairs: (NMor(SetMap(3, 3, (2, 3, 1)), ((3,), (1,), (2,))), NMor(SetMap(3, 3, (1, 2, 1)), ((3, 1), (2,), ())))',
+    ('C2@3', ('transp', 3, 2)): 'functoriality FAILED after 85 pairs: (NMor(SetMap(3, 3, (2, 3, 1)), ((3,), (1,), (2,))), NMor(SetMap(3, 3, (1, 2, 1)), ((3, 1), (2,), ())))',
+    # H1@4 dims (0, 0, 1, 3, 6)
+    ('H1@4', ('coface', 2, 1)): 'functoriality FAILED after 1 pairs: (SetMap(2, 4, (4, 3)), SetMap(4, 3, (2, 2, 3, 1)))',
+    ('H1@4', ('coface', 2, 2)): 'functoriality FAILED after 1 pairs: (SetMap(2, 4, (4, 3)), SetMap(4, 3, (2, 2, 3, 1)))',
+    ('H1@4', ('coface', 2, 3)): 'functoriality FAILED after 14 pairs: (SetMap(4, 4, (1, 1, 1, 2)), SetMap(4, 4, (1, 4, 1, 3)))',
+    ('H1@4', ('coface', 3, 1)): 'functoriality FAILED after 298 pairs: (SetMap(3, 4, (2, 4, 3)), SetMap(4, 4, (3, 4, 2, 4)))',
+    ('H1@4', ('coface', 3, 2)): 'functoriality FAILED after 121 pairs: (SetMap(2, 4, (1, 2)), SetMap(4, 4, (3, 1, 4, 1)))',
+    ('H1@4', ('coface', 3, 3)): 'functoriality FAILED after 26 pairs: (SetMap(3, 4, (1, 2, 4)), SetMap(4, 3, (1, 2, 3, 1)))',
+    ('H1@4', ('coface', 3, 4)): 'functoriality FAILED after 14 pairs: (SetMap(4, 4, (1, 1, 1, 2)), SetMap(4, 4, (1, 4, 1, 3)))',
+    ('H1@4', ('codegen', 2, 1)): 'functoriality FAILED after 26 pairs: (SetMap(3, 4, (1, 2, 4)), SetMap(4, 3, (1, 2, 3, 1)))',
+    ('H1@4', ('codegen', 2, 2)): 'functoriality FAILED after 8 pairs: (SetMap(4, 2, (1, 2, 2, 1)), SetMap(2, 4, (4, 3)))',
+    ('H1@4', ('codegen', 3, 1)): 'functoriality FAILED after 8 pairs: (SetMap(4, 2, (1, 2, 2, 1)), SetMap(2, 4, (4, 3)))',
+    ('H1@4', ('codegen', 3, 2)): 'functoriality FAILED after 27 pairs: (SetMap(3, 4, (1, 1, 4)), SetMap(4, 3, (2, 2, 2, 1)))',
+    ('H1@4', ('codegen', 3, 3)): 'functoriality FAILED after 80 pairs: (SetMap(2, 4, (2, 4)), SetMap(4, 4, (4, 1, 4, 2)))',
+    ('H1@4', ('transp', 2, 1)): 'functoriality FAILED after 1 pairs: (SetMap(2, 4, (4, 3)), SetMap(4, 3, (2, 2, 3, 1)))',
+    ('H1@4', ('transp', 3, 1)): 'functoriality FAILED after 27 pairs: (SetMap(3, 4, (1, 1, 4)), SetMap(4, 3, (2, 2, 2, 1)))',
+    ('H1@4', ('transp', 3, 2)): 'functoriality FAILED after 27 pairs: (SetMap(3, 4, (1, 1, 4)), SetMap(4, 3, (2, 2, 2, 1)))',
+    ('H1@4', ('transp', 4, 1)): 'functoriality FAILED after 8 pairs: (SetMap(4, 2, (1, 2, 2, 1)), SetMap(2, 4, (4, 3)))',
+    ('H1@4', ('transp', 4, 2)): 'functoriality FAILED after 59 pairs: (SetMap(3, 4, (1, 3, 2)), SetMap(4, 2, (2, 2, 1, 1)))',
+    ('H1@4', ('transp', 4, 3)): 'functoriality FAILED after 8 pairs: (SetMap(4, 2, (1, 2, 2, 1)), SetMap(2, 4, (4, 3)))',
+    # realize@4 dims (0, 1, 3, 6, 10)
+    ('realize@4', ('coface', 1, 1)): 'functoriality FAILED after 17 pairs: (DeltaMor(SetMap(1, 2, (2,))), DeltaMor(SetMap(2, 1, (1, 1))))',
+    ('realize@4', ('coface', 1, 2)): 'functoriality FAILED after 16 pairs: (DeltaMor(SetMap(1, 4, (1,))), DeltaMor(SetMap(4, 2, (1, 1, 2, 2))))',
+    ('realize@4', ('coface', 2, 1)): 'functoriality FAILED after 1 pairs: (DeltaMor(SetMap(4, 4, (3, 3, 4, 4))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('coface', 2, 2)): 'functoriality FAILED after 6 pairs: (DeltaMor(SetMap(2, 4, (1, 3))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('coface', 2, 3)): 'functoriality FAILED after 8 pairs: (DeltaMor(SetMap(4, 3, (1, 1, 1, 2))), DeltaMor(SetMap(3, 2, (1, 2, 2))))',
+    ('realize@4', ('coface', 3, 1)): 'functoriality FAILED after 33 pairs: (DeltaMor(SetMap(1, 4, (4,))), DeltaMor(SetMap(4, 4, (2, 2, 3, 4))))',
+    ('realize@4', ('coface', 3, 2)): 'functoriality FAILED after 1 pairs: (DeltaMor(SetMap(4, 4, (3, 3, 4, 4))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('coface', 3, 3)): 'functoriality FAILED after 38 pairs: (DeltaMor(SetMap(3, 4, (1, 4, 4))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('coface', 3, 4)): 'functoriality FAILED after 6 pairs: (DeltaMor(SetMap(2, 4, (1, 3))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('codegen', 1, 1)): 'functoriality FAILED after 17 pairs: (DeltaMor(SetMap(1, 2, (2,))), DeltaMor(SetMap(2, 1, (1, 1))))',
+    ('realize@4', ('codegen', 2, 1)): 'functoriality FAILED after 2 pairs: (DeltaMor(SetMap(3, 2, (1, 2, 2))), DeltaMor(SetMap(2, 1, (1, 1))))',
+    ('realize@4', ('codegen', 2, 2)): 'functoriality FAILED after 1 pairs: (DeltaMor(SetMap(4, 4, (3, 3, 4, 4))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('codegen', 3, 1)): 'functoriality FAILED after 1 pairs: (DeltaMor(SetMap(4, 4, (3, 3, 4, 4))), DeltaMor(SetMap(4, 1, (1, 1, 1, 1))))',
+    ('realize@4', ('codegen', 3, 2)): 'functoriality FAILED after 44 pairs: (DeltaMor(SetMap(1, 4, (3,))), DeltaMor(SetMap(4, 4, (1, 2, 2, 2))))',
+    ('realize@4', ('codegen', 3, 3)): 'functoriality FAILED after 5 pairs: (DeltaMor(SetMap(4, 3, (1, 2, 3, 3))), DeltaMor(SetMap(3, 2, (1, 1, 1))))',
+}
+
+
+def test_corrupted_blocks_fail_the_sampled_check_at_the_same_pair():
+    fixtures = {"C2@3": make_simple("Ck", 3, k=2), "H1@4": arnold_module(1, 4),
+                "realize@4": realize(_cochain_fixture(), 4)}
+    seen = set()
+    for name, V in fixtures.items():
+        for key, W in _single_entry_corruptions(V):
+            report = check_functoriality(W)
+            assert not report.exhaustive
+            assert str(report) == SAMPLED_VERDICTS[name, key], (name, key)
+            seen.add((name, key))
+    assert seen == set(SAMPLED_VERDICTS)
+
+
+def _factor_table_fixtures():
+    """Elementary modules up to N@4, F@4, FI@4 and Delta@5: those of
+    ``EVALUATION_FIXTURES``, FI subsets and ``realize`` at level 5, and every
+    single-entry corruption of C2, H1, D1, ``realize`` and FI subsets."""
+    out = {name: modules[-1] for name, _, _, _, modules in EVALUATION_FIXTURES}
+    fi, realized = injective_pushforward_module(4, 2), realize(_cochain_fixture(), 5)
+    for name, V in (("fi-subsets@4", fi), ("realize@5", realized)):
+        out[name] = from_elementary(V.category, V.max_level, V.dims, to_elementary(V))
+    for name, V in (("C2@4", make_simple("Ck", 4, k=2)), ("H1@4", arnold_module(1, 4)),
+                    ("D1@4", make_simple("D1", 4)), ("realize@5", realized), ("fi-subsets@4", fi)):
+        for key, W in _single_entry_corruptions(V):
+            out["%s!%s.%d.%d" % ((name,) + key)] = W
+    return out
+
+
+FACTOR_TABLE_FIXTURES = _factor_table_fixtures()
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffled_morphisms(category, top):
+    """Every morphism with endpoints at most ``top``, with its chain keys,
+    in one seeded shuffled order across all hom sets."""
+    levels = range(1 if category is DELTA else 0, top + 1)
+    mors = [(f, chain_keys(category, f)) for a in levels for b in levels
+            for f in enumerate_hom(category, a, b)]
+    random.Random(0).shuffle(mors)
+    return mors
+
+
+@pytest.mark.parametrize("name", list(FACTOR_TABLE_FIXTURES))
+def test_factor_tables_match_the_chain_fold(name):
+    V = FACTOR_TABLE_FIXTURES[name]
+    columns = V.evaluator()     # one evaluator, its tables shared by every hom set
+    mors = _shuffled_morphisms(V.category, V.max_level)
+    assert {(f.dom, f.cod) for f, _ in mors} == {
+        (a, b) for a in V.levels for b in V.levels if hom_count(V.category, a, b)}
+    for f, keys in mors:
+        expected = chain_fold_columns(V, f, keys)
+        assert columns(f) == expected, format_mor(f)
+        assert V.columns(f) == expected, format_mor(f)
+    assert set(V.memo) <= set(elementary_keys(V.category, V.max_level))
+
+
+def test_factor_table_fixtures_cover_every_category_and_fractions():
+    tops = {}
+    for V in FACTOR_TABLE_FIXTURES.values():
+        tops[V.category] = max(tops.get(V.category, 0), V.max_level)
+    assert tops == {N: 4, F: 4, FI: 4, DELTA: 5}
+    conjugated = FACTOR_TABLE_FIXTURES["conjugated C2"]
+    assert any(type(c) is Fraction for f, _ in _shuffled_morphisms(N, 4)
+               for col in conjugated.columns(f) for _, c in col)
+    assert sum("!" in name for name in FACTOR_TABLE_FIXTURES) == 18 + 18 + 21 + 24 + 13
+
+
 def pairwise_check_functoriality(V):
     """The exhaustive functor-law check as a loop over composable pairs, in
     the order a, b, c, g, f, with the columns of every morphism cached by the
@@ -407,7 +543,15 @@ def test_oracle_fixtures_cover_failures_fractions_and_every_category():
 def test_exhaustive_check_leaves_no_state_behind():
     V = read_module(write_module(make_simple("Ck", 3, k=2)))
     assert check_functoriality(V, trials=10 ** 9).passed
+    assert descends_through_phi(V, 3).passed
     assert set(V.memo) <= set(elementary_keys(N, 3))
+    H = read_module(write_module(arnold_module(1, 3)))
+    assert check_functoriality(restrict(H, "phi"), trials=10 ** 9).passed
+    assert set(H.memo) <= set(elementary_keys(F, 3))
+    # no evaluation table outlives its call at module level
+    for module in (repmod, simples):
+        assert not [name for name, value in vars(module).items()
+                    if isinstance(value, (dict, list, set)) and not name.startswith("__")]
 
     def live():
         return sum(1 for o in gc.get_objects() if type(o) is CatModule)
@@ -416,7 +560,17 @@ def test_exhaustive_check_leaves_no_state_behind():
         # a scale no other test uses, distinct per module, makes columns new
         return _rescaled(make_simple("Ck", 2, k=1), lambda n: Fraction(7919 + i, 7907) ** n)
 
+    def elementary(V):
+        return from_elementary(V.category, V.max_level, V.dims, to_elementary(V))
+
+    def restricted(i):
+        # an elementary F-module whose phi restriction evaluates through it
+        H0 = _rescaled(arnold_module(0, 2), lambda n: Fraction(7817 + i, 7907) ** n)
+        return restrict(elementary(H0), "phi")
+
     check_functoriality(throwaway(-1), trials=10 ** 9)
+    descends_through_phi(elementary(throwaway(-1)), 2)
+    check_functoriality(restricted(-1), trials=10 ** 9)
     gc.collect()
     before = live()
     tracemalloc.start()
@@ -426,6 +580,12 @@ def test_exhaustive_check_leaves_no_state_behind():
         for i in range(50):
             W = throwaway(i)
             assert check_functoriality(W, trials=10 ** 9).passed
+            W = elementary(W)
+            assert check_functoriality(W, trials=10 ** 9).passed
+            assert descends_through_phi(W, 2).passed
+            W = restricted(i)
+            assert check_functoriality(W, trials=10 ** 9).passed
+            assert descends_through_phi(W, 2).passed
         del W
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - start
