@@ -13,8 +13,8 @@ from .catcore import (  # noqa: F401
 )
 from .exactla import Matrix, kernel, reduce, solve  # noqa: F401
 from .repmod import (  # noqa: F401
-    CatModule, check_functoriality, direct_sum, generation_degree,
-    read_module, restrict, write_module,
+    CatModule, check_functoriality, check_relations, direct_sum,
+    generation_degree, read_module, restrict, write_module,
 )
 from .doldkan import conormalize, dim_polynomial, realize  # noqa: F401
 from .simples import descends_through_phi, make_simple  # noqa: F401

@@ -10,6 +10,10 @@ replicate, arnold, verify.  Module-consuming commands read the catmod/1 text
 form from a file argument or stdin (``-``), so emitters pipe into consumers::
 
     finsetrep simple Ck --k 2 --max 4 | finsetrep fit charpoly --d 2 --fit 1..3 --test 4
+
+A module read this way is certified by the defining relations of its
+category first (:func:`finsetrep.repmod.check_relations`); one that fails
+them exits 1 with ``check failed:``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ def _read_text(path):
 
 
 def _read_module(path):
-    return repmod.read_module(_read_text(path))
+    """The module in a catmod/1 file, certified by its defining relations."""
+    module = repmod.read_module(_read_text(path))
+    repmod.check_relations(module)
+    return module
 
 
 def _emit(payload, fmt, render):

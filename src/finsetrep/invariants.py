@@ -9,7 +9,8 @@ summed: it is computed from the ``n - 1`` adjacent transpositions
 
 * The Coxeter relations ``tau_i^2 = 1``, ``tau_i tau_(i+1) tau_i =
   tau_(i+1) tau_i tau_(i+1)`` and ``tau_i tau_j = tau_j tau_i``
-  (``|i - j| >= 2``) are checked on the sparse action columns first, so the
+  (``|i - j| >= 2``) are checked on the sparse action columns first
+  (:func:`~finsetrep.repmod.check_coxeter`), so the
   generators really define an ``S_n`` action; a failure raises
   :class:`~finsetrep.repmod.FunctorialityError` naming relation and level.
 * ``V^{S_n}`` is the common kernel of the ``tau_i - 1``, intersected one
@@ -44,9 +45,7 @@ from .catcore import (
     DELTA, N, NMor, SetMap, forget, format_mor, lift, transposition_map,
 )
 from .exactla import ONE, ZERO, Matrix, kernel, reduce, solve
-from .repmod import (
-    FunctorialityError, compose_columns, identity_columns, permutation_action,
-)
+from .repmod import FunctorialityError, check_coxeter, permutation_action
 
 
 @dataclass(frozen=True)
@@ -68,22 +67,7 @@ def _transpositions(V, n):
     if V.category is DELTA:
         raise ValueError("Delta modules carry no symmetric-group action")
     taus = [permutation_action(V, transposition_map(n, i).values) for i in range(1, n)]
-    one = identity_columns(V.dims[n])
-
-    def fail(relation):
-        raise FunctorialityError("Coxeter relation %s fails at level %d" % (relation, n))
-
-    for i, a in enumerate(taus, 1):
-        if compose_columns(a, a) != one:
-            fail("tau_%d^2 = 1" % i)
-        for j in range(i + 1, n):
-            b = taus[j - 1]
-            ab, ba = compose_columns(a, b), compose_columns(b, a)
-            if j == i + 1:
-                if compose_columns(a, ba) != compose_columns(b, ab):
-                    fail("tau_%d tau_%d tau_%d = tau_%d tau_%d tau_%d" % (i, j, i, j, i, j))
-            elif ab != ba:
-                fail("tau_%d tau_%d = tau_%d tau_%d" % (i, j, j, i))
+    check_coxeter(taus, n)
     return taus
 
 

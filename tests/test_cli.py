@@ -172,6 +172,19 @@ def test_invariants_rejects_a_transposition_that_is_not_an_involution(tmp_path, 
     assert err.startswith("check failed:") and "level 2" in err
 
 
+def test_module_files_are_certified_by_their_relations_on_read(tmp_path, capsys):
+    _, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "1", "--max", "3")
+    assert "coface 2 1\n0 0\n" in module_text
+    mod_file = tmp_path / "bad.catmod"
+    mod_file.write_text(module_text.replace("coface 2 1\n0 0\n", "coface 2 1\n5 0\n"))
+    for argv in (("char", str(mod_file), "--n", "3"),
+                 ("invariants", str(mod_file), "--range", "1..3"),
+                 ("doldkan", "conormalize", str(mod_file))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err == "check failed: relation coface 2 1 o coface 1 2 fails\n", argv
+
+
 def test_invariants_json_payload(tmp_path, capsys):
     code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "2", "--max", "5")
     mod_file = tmp_path / "c2.catmod"

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,8 +16,9 @@ from finsetrep.catcore import (
 from finsetrep.doldkan import CochainComplex, realize
 from finsetrep.exactla import Matrix, format_matrix, solve
 from finsetrep.repmod import (
-    CatModule, FunctorialityReport, _identity_mor, check_functoriality,
-    compose_columns, direct_sum, elementary_keys, from_elementary,
+    CatModule, FunctorialityError, FunctorialityReport, _identity_mor,
+    check_functoriality, check_relations, compose_columns, direct_sum,
+    elementary_keys, elementary_morphism, elementary_shape, from_elementary,
     generation_degree, identity_columns, read_module, restrict,
     to_elementary, write_module,
 )
@@ -538,6 +540,115 @@ def test_oracle_fixtures_cover_failures_fractions_and_every_category():
     conjugated = ORACLE_FIXTURES["conjugated C2@3"]
     assert any(type(c) is Fraction for m in enumerate_hom(N, 3, 3)
                for col in conjugated.columns(m) for _, c in col)
+
+
+# -- certification by the defining relations ------------------------------------
+
+# The H1@4 corruptions are in both tables; fi-subsets@4 is a rule module in
+# ORACLE_FIXTURES and its elementary copy in FACTOR_TABLE_FIXTURES.
+RELATION_FIXTURES = {**FACTOR_TABLE_FIXTURES, **ORACLE_FIXTURES,
+                     "elementary fi-subsets@4": FACTOR_TABLE_FIXTURES["fi-subsets@4"]}
+# Functors at N@4, where the pairwise oracle takes 10 to 27 s each; their
+# truncations at level 3 are in ORACLE_FIXTURES and meet the oracle there.
+FUNCTORS_AT_N4 = {"C1", "C2", "C3", "D1", "conjugated C2"}
+
+
+@pytest.mark.parametrize("name", list(RELATION_FIXTURES))
+def test_relations_agree_with_the_pairwise_oracle(name):
+    V = RELATION_FIXTURES[name]
+    expected = name in FUNCTORS_AT_N4 or pairwise_check_functoriality(V).passed
+    assert repmod._relations_certify(V) == expected
+
+
+def test_relation_fixtures_cover_both_verdicts_and_backends():
+    assert len(RELATION_FIXTURES) == 105 + 65 - 18
+    assert {V.category for V in RELATION_FIXTURES.values()} == {N, FI, DELTA, F}
+    assert FUNCTORS_AT_N4 <= {name for name, V in RELATION_FIXTURES.items()
+                              if V.category is N and V.max_level == 4 and V._elementary}
+    rules = [V for V in RELATION_FIXTURES.values() if V._elementary is None]
+    assert len(rules) == 12 and not all(repmod._relations_certify(V) for V in rules)
+
+
+def _failing_elementary_pairs(V):
+    """Keys ``(k1, k2)`` of the composable elementary pairs with
+    ``V(e2) V(e1) != V(e2 o e1)``."""
+    columns = V.evaluator()
+    keys = elementary_keys(V.category, V.max_level)
+    gens = {key: elementary_morphism(V.category, key) for key in keys}
+    return [(k1, k2) for k1 in keys for k2 in keys if gens[k2].dom == gens[k1].cod
+            and compose_columns(columns(gens[k2]), columns(gens[k1]))
+            != columns(compose_in(V.category, gens[k2], gens[k1]))]
+
+
+def _control(category, dims, blocks):
+    """An elementary module with the given blocks, zero elsewhere."""
+    mats = {key: Matrix.zeros(*elementary_shape(dims, key))
+            for key in elementary_keys(category, len(dims) - 1)}
+    mats.update({key: Matrix(len(rows), len(rows[0]), rows) for key, rows in blocks.items()})
+    return from_elementary(category, len(dims) - 1, dims, mats)
+
+
+@pytest.mark.parametrize("V,failing,message", [
+    # tau_1 = diag(1, -1) and tau_2 = swap at N@3 are involutions, but break
+    # the braid relation, which no pair check sees
+    (_control(N, (0, 0, 0, 2), {("transp", 3, 1): [[1, 0], [0, -1]],
+                                ("transp", 3, 2): [[0, 1], [1, 0]]}),
+     [], "Coxeter relation tau_1 tau_2 tau_1 = tau_2 tau_1 tau_2 fails at level 3"),
+    # at F@2 both cofaces [1] -> [2] are (1, 1), s_1 = (1, 0) and tau_1 the
+    # swap: only s_1 o tau_1 = s_1 fails
+    (_control(F, (0, 1, 2), {("coface", 1, 1): [[1], [1]], ("coface", 1, 2): [[1], [1]],
+                             ("codegen", 1, 1): [[1, 0]], ("transp", 2, 1): [[0, 1], [1, 0]]}),
+     [(("transp", 2, 1), ("codegen", 1, 1))], "relation codegen 1 1 o transp 2 1 fails"),
+    # N@3 with levels 2 and 3 only: [3] carries the points and a sign line,
+    # which s_1 alone sees; only the crossed relations tau_1 o s_j = s_j' o
+    # (3-cycle) fail, whose right sides have length 3
+    (_control(N, (0, 0, 1, 4), {
+        ("transp", 2, 1): [[1]],
+        ("transp", 3, 1): [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+        ("transp", 3, 2): [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+        ("coface", 2, 1): [[1], [0], [0], [0]], ("coface", 2, 2): [[0], [1], [0], [0]],
+        ("coface", 2, 3): [[0], [0], [1], [0]],
+        ("codegen", 2, 1): [[1, 1, 0, 1]], ("codegen", 2, 2): [[0, 1, 1, 0]]}),
+     [(("codegen", 2, 1), ("transp", 2, 1)), (("codegen", 2, 2), ("transp", 2, 1))],
+     "relation transp 2 1 o codegen 2 1 fails"),
+], ids=["braid", "codegeneracy after transposition", "transposition after codegeneracy"])
+def test_relation_controls_fail_only_the_named_relations(V, failing, message):
+    assert _failing_elementary_pairs(V) == failing
+    with pytest.raises(FunctorialityError) as info:
+        check_relations(V)
+    assert str(info.value) == message
+    expected = pairwise_check_functoriality(V)
+    assert not expected.passed
+    assert check_functoriality(V, trials=10 ** 9) == expected
+
+
+@pytest.mark.parametrize("cat,top,entries", [
+    (N, 2, (0, 1, -1)), (F, 2, (0, 1, -1)), (FI, 3, (1, -1)), (DELTA, 3, (1, -1)), (N, 3, (1, -1)),
+], ids=["N@2", "F@2", "FI@3", "Delta@3", "N@3"])
+def test_relations_agree_with_the_oracle_on_every_small_one_dimensional_module(cat, top, entries):
+    keys = elementary_keys(cat, top)
+    dims = (0,) + (1,) * top if cat is DELTA else (1,) * (top + 1)
+    verdicts = []
+    for values in itertools.product(entries, repeat=len(keys)):
+        V = from_elementary(cat, top, dims, {k: Matrix(1, 1, [[v]]) for k, v in zip(keys, values)})
+        try:
+            check_relations(V)
+            passed = True
+        except FunctorialityError:
+            passed = False
+        assert passed == pairwise_check_functoriality(V).passed, values
+        verdicts.append(passed)
+    assert len(verdicts) == len(entries) ** len(keys) and 1 < sum(verdicts) < len(verdicts)
+
+
+def test_a_pair_walk_that_contradicts_the_relations_is_an_internal_error(monkeypatch):
+    def reject(V):
+        raise FunctorialityError("rejected")
+
+    monkeypatch.setattr(repmod, "check_relations", reject)
+    for V in (make_simple("Ck", 3, k=2), read_module(write_module(make_simple("Ck", 3, k=2)))):
+        with pytest.raises(RuntimeError, match="passes all 7564 composable pairs"):
+            check_functoriality(V, trials=10 ** 9)
 
 
 def test_exhaustive_check_leaves_no_state_behind():
