@@ -1,14 +1,19 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Every linear map in this package is carried by :class:`Matrix`: an immutable
-dense matrix whose entries are `fractions.Fraction` values (automatically in
-lowest terms with positive denominator).  All computations are exact; no
+Maps are carried in one of two forms.  :class:`Matrix` is an immutable dense
+matrix whose entries are `fractions.Fraction` values (automatically in lowest
+terms with positive denominator); elimination, kernels and solving work on
+it.  *Sparse columns* hold, for each column, the ``(row, coeff)`` pairs of
+its nonzero entries sorted by row, with ``coeff`` an ``int`` when integral
+and a ``Fraction`` otherwise (:func:`coefficient`); the elementary blocks of
+a module live in this form from file to evaluator, and
+:meth:`Matrix.from_sparse` densifies it.  All computations are exact; no
 floating point appears anywhere.
 
 Text form: one line per row, entries separated by single spaces, each entry
 written ``p/q`` or as a bare integer ``p`` meaning ``p/1``.  Matrices with a
 zero dimension are only representable where the shape is known from context,
-so :func:`parse_matrix` takes the expected shape.
+so :func:`parse_columns` and :func:`parse_matrix` take the expected shape.
 
 Everything here is pure and safe for concurrent use.
 """
@@ -61,6 +66,15 @@ class Matrix:
             for i, x in enumerate(col):
                 data[i][j] = x
         return cls(rows, cols, data)
+
+    @classmethod
+    def from_sparse(cls, columns, rows):
+        """The ``rows x len(columns)`` matrix with the given sparse columns."""
+        data = [[ZERO] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col:
+                data[i][j] = x
+        return cls(rows, len(columns), data)
 
     @classmethod
     def identity(cls, n):
@@ -127,10 +141,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix._make(self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
-
-    def col(self, j):
-        """Column ``j`` (0-based) as a tuple."""
-        return tuple(row[j] for row in self.data)
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)
@@ -293,21 +303,22 @@ def format_matrix(a):
     return "\n".join(" ".join(str(x) for x in row) for row in a.data)
 
 
-def parse_matrix(lines, rows, cols):
-    """Parse ``rows`` text lines into a matrix of the given shape.
+def parse_columns(lines, rows, cols):
+    """Parse ``rows`` text lines into the sparse columns of a ``rows x cols``
+    matrix.
 
-    ``lines`` is a sequence of strings (no newlines).  Raises ValueError with
-    the offending row/column on malformed input.
+    ``lines`` is a sequence of strings (no newlines).  Each entry reads as
+    ``coefficient(Fraction(entry))``, and a zero entry adds nothing.  Raises
+    ValueError with the offending row/column on malformed input.
     """
     if len(lines) != rows:
         raise ValueError("expected %d matrix rows, got %d" % (rows, len(lines)))
     seen = {}       # token -> value; module files repeat a few tokens
-    data = []
+    out = [[] for _ in range(cols)]
     for i, line in enumerate(lines):
         tokens = line.split()
         if len(tokens) != cols:
             raise ValueError("matrix row %d: expected %d entries, got %d" % (i + 1, cols, len(tokens)))
-        row = []
         for j, tok in enumerate(tokens):
             x = seen.get(tok)
             if x is None:
@@ -315,14 +326,25 @@ def parse_matrix(lines, rows, cols):
                     x = seen[tok] = _parse_entry(tok)
                 except (ValueError, ZeroDivisionError):
                     raise ValueError("matrix row %d, entry %d: bad rational %r" % (i + 1, j + 1, tok)) from None
-            row.append(x)
-        data.append(tuple(row))
-    return Matrix._make(rows, cols, tuple(data))
+            if x:
+                out[j].append((i, x))
+    return tuple(map(tuple, out))
+
+
+def parse_matrix(lines, rows, cols):
+    """:func:`parse_columns`, densified into a :class:`Matrix`."""
+    return Matrix.from_sparse(parse_columns(lines, rows, cols), rows)
+
+
+def coefficient(c):
+    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _parse_entry(tok):
-    """``Fraction(tok)``, with bare decimal integers read by ``int``."""
+    """``coefficient(Fraction(tok))``, with bare decimal integers read by
+    ``int``."""
     digits = tok[1:] if tok[:1] in "+-" else tok
-    if digits.isdecimal():
-        return Fraction(int(tok))
-    return Fraction(tok)
+    return int(tok) if digits.isdecimal() else coefficient(Fraction(tok))

@@ -6,26 +6,26 @@ and evaluated as exact matrices.  Two backends exist:
 
 * a *rule* backend computes the (sparse) columns of the acting matrix of any
   morphism directly;
-* an *elementary* backend stores explicit matrices for the elementary
-  morphisms between consecutive levels -- cofaces, codegeneracies and
-  adjacent transpositions -- and evaluates arbitrary morphisms through the
-  canonical factorization ``f = iota o pi o sigma`` of
-  :func:`finsetrep.catcore.factor_values`.
+* an *elementary* backend stores a block, as sparse columns, for each
+  elementary morphism between consecutive levels -- cofaces,
+  codegeneracies and adjacent transpositions -- and evaluates arbitrary
+  morphisms through the canonical factorization ``f = iota o pi o sigma``
+  of :func:`finsetrep.catcore.factor_values`.
 
 Both backends evaluate a morphism to sparse columns first: for each basis
 vector of the source, the ``(row, coeff)`` pairs of its image.  A coefficient
 is an ``int`` when it is integral and a ``Fraction`` only otherwise, so the
 unit-vector columns that dominate these modules never touch ``Fraction``
 arithmetic; :func:`compose_columns` keeps that form.  An elementary backend
-evaluates ``V(f) = V(iota o pi) . V(sigma)``, each factor the product of the
-cached sparse columns of its blocks along its elementary chain.  The
-morphisms of a hom set share most of their factors, so
-:meth:`CatModule.evaluator` returns a function that keeps each factor it has
-built, one table for the permutations and one for the monotone parts, for
-as long as the function lives; a caller evaluating many morphisms takes one
-evaluator per call, and :meth:`CatModule.columns` is the same function with
-fresh tables.  :meth:`CatModule.act` densifies the columns into a
-:class:`~finsetrep.exactla.Matrix`, whose entries are always ``Fraction``.
+evaluates ``V(f) = V(iota o pi) . V(sigma)``, each factor the product of its
+blocks along its elementary chain.  The morphisms of a hom set share most of
+their factors, so :meth:`CatModule.evaluator` returns a function that keeps
+each factor it has built, one table for the permutations and one for the
+monotone parts, for as long as the function lives; a caller evaluating many
+morphisms takes one evaluator per call, and :meth:`CatModule.columns` is the
+same function with fresh tables.  :meth:`CatModule.act` densifies the
+columns into a :class:`~finsetrep.exactla.Matrix`, whose entries are always
+``Fraction``.
 
 Well-definedness of an elementary backend is never assumed: it is certified
 by :func:`check_functoriality`, which tests the functor laws on composable
@@ -47,14 +47,16 @@ no morphism.
 
 Module file format (versioned header ``catmod/1``): category tag, truncation
 level, dimension line, then one labeled matrix block per elementary morphism
-in a fixed order.  Round-trips are bit-exact.
+in a fixed order.  :func:`read_module` parses each block straight into sparse
+columns (:func:`~finsetrep.exactla.parse_columns`) and :func:`write_module`
+writes every block from its columns, so no dense matrix is built on the way
+and round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catcore
 from .catcore import (
@@ -64,7 +66,7 @@ from .catcore import (
     identity_n, increasing_fibers, injection_chain, lift, parse_count,
     permutation_chain, random_mor, surjection_chain, transposition_map,
 )
-from .exactla import ZERO, Matrix, parse_matrix, reduce
+from .exactla import ZERO, Matrix, coefficient, parse_columns, reduce
 
 
 class FunctorialityError(ValueError):
@@ -77,9 +79,10 @@ class CatModule:
     ``dims[n]`` is the dimension of the value at ``[n]`` for every level
     ``0..max_level``; Delta modules have no level 0 and carry ``dims[0] == 0``
     by convention.  Instances are immutable; all evaluation is pure.
-    ``memo`` holds data derived from the module (the sparse columns of the
-    elementary blocks, invariant bases), so it is freed together with the
-    module.
+    ``_elementary`` maps each elementary key to the sparse columns of its
+    block, or is ``None`` for a rule module.  ``memo`` holds data derived
+    from the module (invariant bases, straightened columns of a rule), so
+    it is freed together with the module.
     """
 
     __slots__ = ("category", "max_level", "dims", "name", "memo", "_rule", "_elementary")
@@ -160,14 +163,14 @@ class CatModule:
         """
         if self._rule is not None:
             return self.columns
-        coerce, block, dims = self._coerce, self._block_columns, self.dims
+        coerce, blocks, dims = self._coerce, self._elementary, self.dims
         delta, nmor = self.category is DELTA, self.category is N
         perms, monos = {}, {}
 
         def fold(keys, dim):
             cols = None
             for key in reversed(keys):
-                b = block(key)
+                b = blocks[key]
                 cols = b if cols is None else compose_columns(b, cols)
             return identity_columns(dim) if cols is None else cols
 
@@ -201,44 +204,22 @@ class CatModule:
 
     def act(self, f):
         """Dense acting matrix, of shape ``dims[cod] x dims[dom]``."""
-        cols = self.columns(f)
-        rows, width = self.dims[f.cod], self.dims[f.dom]
-        grid = [[ZERO] * width for _ in range(rows)]
-        for j, col in enumerate(cols):
-            for r, c in col:
-                grid[r][j] = c
-        return Matrix(rows, width, grid)
-
-    def _block_columns(self, key):
-        got = self.memo.get(key)
-        if got is None:
-            try:
-                mat = self._elementary[key]
-            except KeyError:
-                raise FunctorialityError("missing elementary matrix %r" % (key,)) from None
-            cols = [[] for _ in range(mat.cols)]
-            for r, row in enumerate(mat.data):
-                for j, x in enumerate(row):
-                    if x:
-                        cols[j].append((r, _coefficient(x)))
-            got = self.memo[key] = tuple(tuple(col) for col in cols)
-        return got
-
-
-def _coefficient(c):
-    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+        return Matrix.from_sparse(self.columns(f), self.dims[f.cod])
 
 
 def _normalize_columns(cols, nrows):
+    """``cols`` as sparse columns: zero entries dropped, coefficients by
+    :func:`~finsetrep.exactla.coefficient`, each column sorted by row.  A
+    row outside ``0..nrows-1``, or named twice in one column, raises
+    ``ValueError``."""
     out = []
     for col in cols:
-        clean = tuple(sorted((r, c if type(c) is int else _coefficient(c))
+        clean = tuple(sorted((r, c if type(c) is int else coefficient(c))
                              for r, c in col if c))
         if clean and not (0 <= clean[0][0] and clean[-1][0] < nrows):
             raise ValueError("column entry out of range")
+        if len(clean) > 1 and len({r for r, _ in clean}) < len(clean):
+            raise ValueError("column repeats a row")
         out.append(clean)
     return tuple(out)
 
@@ -261,7 +242,7 @@ def _combine(gcols, col):
     for r, c in col:
         for r2, c2 in gcols[r]:
             acc[r2] = acc.get(r2, 0) + c * c2
-    return tuple(sorted((r, c if type(c) is int else _coefficient(c))
+    return tuple(sorted((r, c if type(c) is int else coefficient(c))
                         for r, c in acc.items() if c))
 
 
@@ -706,27 +687,33 @@ def elementary_shape(dims, key):
 
 
 def to_elementary(V):
-    """Evaluate ``V`` on every elementary morphism as dense matrices; the
+    """The sparse columns of ``V`` on every elementary morphism; the
     resulting dict backs an equivalent elementary module."""
     return {
-        key: V.act(elementary_morphism(V.category, key))
+        key: V.columns(elementary_morphism(V.category, key))
         for key in elementary_keys(V.category, V.max_level)
     }
 
 
-def from_elementary(category, max_level, dims, matrices, name=""):
-    """Build an elementary-backed module; shapes are validated here, the
+def from_elementary(category, max_level, dims, blocks, name=""):
+    """Build an elementary-backed module from ``{key: columns}``, the sparse
+    columns of each elementary block.  Each block is validated and
+    normalized here (:func:`_normalize_columns`, plus its column count); the
     functor laws are certified separately by :func:`check_functoriality`."""
     expected = elementary_keys(category, max_level)
-    if set(matrices) != set(expected):
+    if set(blocks) != set(expected):
         raise ValueError("elementary matrix set does not match the category/truncation")
     dims = tuple(dims)
+    normal = {}
     for key in expected:
-        shape = elementary_shape(dims, key)
-        if matrices[key].shape != shape:
-            raise ValueError("matrix %r has shape %r, expected %r"
-                             % (key, matrices[key].shape, shape))
-    return CatModule(category, max_level, dims, elementary=dict(matrices), name=name)
+        rows, width = elementary_shape(dims, key)
+        if len(blocks[key]) != width:
+            raise ValueError("block %r has %d columns, expected %d" % (key, len(blocks[key]), width))
+        try:
+            normal[key] = _normalize_columns(blocks[key], rows)
+        except ValueError as e:
+            raise ValueError("block %r: %s" % (key, e)) from None
+    return CatModule(category, max_level, dims, elementary=normal, name=name)
 
 
 def write_module(V):
@@ -737,17 +724,14 @@ def write_module(V):
         "max_level %d" % V.max_level,
         "dims %s" % " ".join(str(d) for d in V.dims),
     ]
+    blocks = to_elementary(V) if V._elementary is None else V._elementary
     for key in elementary_keys(V.category, V.max_level):
         lines.append("%s %d %d" % key)
         rows, width = elementary_shape(V.dims, key)
         if not rows:
             continue
-        if V._elementary is not None:
-            cols = V._block_columns(key)
-        else:
-            cols = V.columns(elementary_morphism(V.category, key))
         grid = [["0"] * width for _ in range(rows)]
-        for j, col in enumerate(cols):
+        for j, col in enumerate(blocks[key]):
             for r, c in col:
                 grid[r][j] = str(c)
         lines.append("\n".join(" ".join(row) for row in grid))
@@ -787,7 +771,7 @@ def read_module(text, name=""):
         raise ParseError("dims line must list levels 0..max_level", line=pos)
     if category is DELTA and dims[0] != 0:
         raise ParseError("Delta modules carry dims[0] == 0", line=pos)
-    matrices = {}
+    blocks = {}
     for key in elementary_keys(category, max_level):
         header = take("matrix header").split()
         try:
@@ -800,9 +784,9 @@ def read_module(text, name=""):
         rows, cols = elementary_shape(dims, key)
         block = [take("matrix row") for _ in range(rows)]
         try:
-            matrices[key] = parse_matrix(block, rows, cols)
+            blocks[key] = parse_columns(block, rows, cols)
         except ValueError as e:
             raise ParseError("block %r: %s" % (key, e), line=at) from None
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise ParseError("trailing content after module blocks", line=pos + 1)
-    return from_elementary(category, max_level, dims, matrices, name=name)
+    return from_elementary(category, max_level, dims, blocks, name=name)

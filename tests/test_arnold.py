@@ -118,8 +118,8 @@ def test_generator_action_examples():
     H1 = arnold_module(1, 4)
     mat = H1.act(SetMap(2, 3, (2, 3)))
     basis3 = admissible_basis(3, 1)
-    assert mat.col(0)[basis3.index(((2, 3),))] == 1
-    assert sum(1 for x in mat.col(0) if x) == 1
+    assert mat.data[basis3.index(((2, 3),))][0] == 1
+    assert sum(1 for row in mat.data if row[0]) == 1
     assert H1.act(SetMap(2, 1, (1, 1))).is_zero()
 
 

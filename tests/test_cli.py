@@ -261,6 +261,27 @@ def test_malformed_module_headers_exit_2_with_a_location(tmp_path, capsys):
         assert "invalid literal" not in err
 
 
+def test_malformed_module_blocks_exit_2_with_the_recorded_error(tmp_path, capsys):
+    _, text, _ = run_cli(capsys, "simple", "Ck", "--k", "1", "--max", "3")
+    block = "error: block ('coface', 2, 1): matrix row 1"
+    cases = (
+        ("coface 2 1\n0 0\n", "coface 2 1\n0 x\n", block + ", entry 2: bad rational 'x' (at line 13)"),
+        ("coface 2 1\n0 0\n", "coface 2 1\n0 1/0\n", block + ", entry 2: bad rational '1/0' (at line 13)"),
+        ("coface 2 1\n0 0\n", "coface 2 1\n0 1.5.2\n",
+         block + ", entry 2: bad rational '1.5.2' (at line 13)"),
+        ("coface 2 1\n0 0\n", "coface 2 1\n0\n", block + ": expected 2 entries, got 1 (at line 13)"),
+        ("coface 2 1\n0 0\n", "coface 2 1\n0 0 0\n", block + ": expected 2 entries, got 3 (at line 13)"),
+        ("transp 3 2\n1 0 0\n0 0 1\n0 1 0\n", "transp 3 2\n1 0 0\n0 0 1\n",
+         "error: unexpected end of module file (expected matrix row) (at line 43)"),
+        (text[text.index("coface 2 1\n"):], "",
+         "error: unexpected end of module file (expected matrix header) (at line 13)"),
+    )
+    mod_file = tmp_path / "bad.catmod"
+    for old, new, message in cases:
+        mod_file.write_text(_malformed(text, old, new))
+        assert run_cli(capsys, "char", str(mod_file), "--n", "2") == (2, "", message + "\n"), new
+
+
 def test_malformed_cochain_headers_exit_2_with_a_location(tmp_path, capsys):
     text = "cochain/1\ntop 1\ndims 1 1\nd 0\n1\n"
     cx_file = tmp_path / "bad.cochain"

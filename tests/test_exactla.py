@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from finsetrep.exactla import (
-    LinearSystem, Matrix, format_matrix, hstack, kernel, parse_matrix,
+    LinearSystem, Matrix, format_matrix, hstack, kernel, parse_columns, parse_matrix,
     rank, reduce, solve, vstack,
 )
+from finsetrep.catcore import ParseError
+from finsetrep.repmod import read_module, write_module
+from finsetrep.simples import make_simple
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -44,7 +48,7 @@ def test_kernel_examples():
     assert kernel(Matrix.zeros(2, 3)).cols == 3
     k = kernel(Matrix(1, 2, [[1, 1]]))
     assert k.cols == 1
-    x, y = k.col(0)
+    (x,), (y,) = k.data
     assert x == -y != 0
 
 
@@ -118,10 +122,13 @@ def test_parse_matrix_errors():
         parse_matrix(["1 x"], 1, 2)
 
 
-# every token parse_matrix accepts must read as Fraction(token), and every
-# token it rejects must be one Fraction rejects
+# every token parse_matrix and the module reader accept must read as
+# Fraction(token), and every token they reject must be one Fraction rejects
 MATRIX_TOKENS = ("0", "1", "-3", "+4", "-0", "007", "1/2", "-6/4", "1.5", "1e2",
                  "1_0", "0/0", "x", "-", "+", "+-3", "1/", "²", "٣", "-٣", "１")
+
+# an N-module with one elementary block, coface 0 1 (line 5), of shape 1 x 2
+ONE_BLOCK_MODULE = "catmod/1\ncategory N\nmax_level 1\ndims 2 1\ncoface 0 1\n%s\n"
 
 
 @pytest.mark.parametrize("tok", MATRIX_TOKENS)
@@ -129,10 +136,36 @@ def test_parse_matrix_reads_tokens_as_fraction_does(tok):
     try:
         expected = Fraction(tok)
     except (ValueError, ZeroDivisionError):
+        message = "matrix row 1, entry 2: bad rational %r" % tok
         with pytest.raises(ValueError) as info:
             parse_matrix(["0 " + tok], 1, 2)
-        assert str(info.value) == "matrix row 1, entry 2: bad rational %r" % tok
+        assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            read_module(ONE_BLOCK_MODULE % ("0 " + tok))
+        assert str(info.value) == "block ('coface', 0, 1): %s (at line 5)" % message
         return
     got = parse_matrix([tok + " " + tok], 1, 2)
     assert got.data == ((expected, expected),)
     assert all(type(x) is Fraction for x in got.data[0])
+    entry = ((0, expected),) if expected else ()
+    for block in (parse_columns([tok + " " + tok], 1, 2),
+                  read_module(ONE_BLOCK_MODULE % (tok + " " + tok))._elementary["coface", 0, 1]):
+        assert block == (entry, entry)
+        assert all(type(c) is (int if expected.denominator == 1 else Fraction) for col in block for _, c in col)
+
+
+def test_module_entries_read_and_write_canonically():
+    canonical = write_module(make_simple("Ck", 3, k=2))
+    spellings = {"0": ("-0", "0/7"), "1": ("+1", "2/2", "001")}
+    for zero, one in itertools.product(spellings["0"], spellings["1"]):
+        lines = canonical.splitlines()
+        respelled = [line if line[:1].isalpha() else " ".join(
+            {"0": zero, "1": one}[tok] for tok in line.split()) for line in lines]
+        assert respelled != lines
+        again = read_module("\n".join(respelled) + "\n")
+        assert again._elementary == read_module(canonical)._elementary
+        assert write_module(again) == canonical
+    # an entry 2/3 spelled 4/6 and 007 spelled with leading zeros
+    V = read_module(ONE_BLOCK_MODULE % "4/6 007")
+    assert V._elementary["coface", 0, 1] == (((0, Fraction(2, 3)),), ((0, 7),))
+    assert write_module(V) == ONE_BLOCK_MODULE % "2/3 7"

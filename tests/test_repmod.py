@@ -23,6 +23,7 @@ from finsetrep.repmod import (
     to_elementary, write_module,
 )
 from finsetrep.simples import descends_through_phi, make_simple, order_sign_module
+from helpers import dense_blocks, sparse_blocks
 
 
 def injective_pushforward_module(max_level, k):
@@ -98,12 +99,13 @@ def test_check_functoriality_exhaustive_sizes_4_deep():
 
 
 def test_corrupted_backend_fails_with_counterexample():
-    mats = to_elementary(make_simple("Ck", 4, k=2))
+    mats = dense_blocks(make_simple("Ck", 4, k=2))
     key = ("coface", 2, 1)
     rows = [list(row) for row in mats[key].data]
     rows[0][0] += 7
     mats[key] = Matrix(len(rows), len(rows[0]), rows)
-    corrupted = from_elementary(N, 4, make_simple("Ck", 4, k=2).dims, mats, name="corrupted")
+    corrupted = from_elementary(N, 4, make_simple("Ck", 4, k=2).dims, sparse_blocks(mats),
+                                name="corrupted")
     report = check_functoriality(corrupted, trials=10_000, seed=0)
     assert not report.passed
     assert report.counterexample is not None
@@ -118,6 +120,37 @@ def test_elementary_backend_matches_rule_on_all_small_morphisms():
         for n in range(5):
             for f in enumerate_hom(N, m, n):
                 assert elem.act(f) == rule.act(f)
+
+
+@pytest.mark.parametrize("block,message", [
+    ((((1, 1),), ()), "block ('coface', 1, 1) has 2 columns, expected 1"),
+    ((), "block ('coface', 1, 1) has 0 columns, expected 1"),
+    ((((2, 1),),), "block ('coface', 1, 1): column entry out of range"),
+    ((((-1, 1),),), "block ('coface', 1, 1): column entry out of range"),
+    ((((1, 1), (1, 2)),), "block ('coface', 1, 1): column repeats a row"),
+], ids=["extra column", "no column", "row past the end", "negative row", "repeated row"])
+def test_from_elementary_refuses_malformed_sparse_blocks(block, message):
+    C1 = make_simple("Ck", 2, k=1)          # dims (0, 1, 2); coface 1 1 is 2 x 1
+    blocks = to_elementary(C1)
+    blocks["coface", 1, 1] = block
+    with pytest.raises(ValueError) as info:
+        from_elementary(N, 2, C1.dims, blocks)
+    assert str(info.value) == message
+
+
+def test_from_elementary_normalizes_sparse_blocks():
+    C1 = make_simple("Ck", 2, k=1)
+    blocks = to_elementary(C1)
+    assert blocks["coface", 1, 1] == (((1, 1),),)
+    blocks["coface", 1, 1] = [[(1, Fraction(2, 2)), (0, 0)]]
+    V = from_elementary(N, 2, C1.dims, blocks)
+    assert V._elementary["coface", 1, 1] == (((1, 1),),)
+    assert type(V._elementary["coface", 1, 1][0][0][1]) is int
+    assert write_module(V) == write_module(C1)
+    # a rule column that names a row twice is refused as well
+    W = CatModule(N, 1, (0, 2), columns=lambda f: [((0, 1), (0, 1)), ()])
+    with pytest.raises(ValueError, match="repeats a row"):
+        W.columns(identity_n(1))
 
 
 def chain_keys(category, f):
@@ -149,11 +182,11 @@ def dense_chain_product(category, dims, mats, f):
 
 def chain_fold_columns(V, f, keys):
     """Columns of the elementary module ``V`` on ``f`` as the fold of its
-    block columns along ``keys = chain_keys(V.category, f)``, one morphism
-    at a time: the reference the shared factor tables must reproduce."""
+    blocks along ``keys = chain_keys(V.category, f)``, one morphism at a
+    time: the reference the shared factor tables must reproduce."""
     cols = None
     for key in reversed(keys):
-        block = V._block_columns(key)
+        block = V._elementary[key]
         cols = block if cols is None else compose_columns(block, cols)
     return identity_columns(V.dims[f.dom]) if cols is None else cols
 
@@ -174,7 +207,7 @@ def _conjugated(V):
     ends = {"coface": lambda n: (n + 1, n), "codegen": lambda n: (n, n + 1),
             "transp": lambda n: (n, n)}
     mats = {}
-    for key, m in to_elementary(V).items():
+    for key, m in dense_blocks(V).items():
         cod, dom = ends[key[0]](key[1])
         mats[key] = change[cod] * m * undo[dom]
     return mats
@@ -193,12 +226,12 @@ def _evaluation_fixtures():
     }
     out = []
     for name, V in rules.items():
-        mats = to_elementary(V)
-        elem = from_elementary(V.category, 4, V.dims, mats, name="elementary " + name)
+        mats = dense_blocks(V)
+        elem = from_elementary(V.category, 4, V.dims, sparse_blocks(mats), name="elementary " + name)
         out.append((name, V.category, V.dims, mats, [V, elem]))
     C2 = rules["C2"]
     mats = _conjugated(C2)
-    elem = from_elementary(N, 4, C2.dims, mats, name="conjugated C2")
+    elem = from_elementary(N, 4, C2.dims, sparse_blocks(mats), name="conjugated C2")
     out.append(("conjugated C2", N, C2.dims, mats, [elem]))
     return out
 
@@ -265,7 +298,7 @@ def _single_entry_corruptions(V):
     """``(key, W)`` for each nonempty elementary block of ``V``, in file
     order: ``W`` is ``V`` as an elementary module with 1 added to entry
     (1, 1) of that block."""
-    mats = to_elementary(V)
+    mats = dense_blocks(V)
     for key in elementary_keys(V.category, V.max_level):
         if not mats[key].rows or not mats[key].cols:
             continue
@@ -273,7 +306,7 @@ def _single_entry_corruptions(V):
         rows[0][0] += 1
         bad = dict(mats)
         bad[key] = Matrix(len(rows), len(rows[0]), rows)
-        yield key, from_elementary(V.category, V.max_level, V.dims, bad)
+        yield key, from_elementary(V.category, V.max_level, V.dims, sparse_blocks(bad))
 
 
 # (module, corrupted block): (pairs checked, counterexample (f, g)) after
@@ -508,7 +541,7 @@ def _oracle_fixtures():
         out["H%d@3" % i] = arnold_module(i, 3)
     out["order-sign@3"] = order_sign_module(3)
     small = make_simple("Ck", 3, k=2)
-    out["conjugated C2@3"] = from_elementary(N, 3, small.dims, _conjugated(small))
+    out["conjugated C2@3"] = from_elementary(N, 3, small.dims, sparse_blocks(_conjugated(small)))
     out["fi-subsets@4"] = injective_pushforward_module(4, 2)
     out["C2@3|Delta"] = restrict(small, "psi")
     out["C1+C2@3"] = direct_sum(make_simple("Ck", 3, k=1), small)
@@ -585,7 +618,7 @@ def _control(category, dims, blocks):
     mats = {key: Matrix.zeros(*elementary_shape(dims, key))
             for key in elementary_keys(category, len(dims) - 1)}
     mats.update({key: Matrix(len(rows), len(rows[0]), rows) for key, rows in blocks.items()})
-    return from_elementary(category, len(dims) - 1, dims, mats)
+    return from_elementary(category, len(dims) - 1, dims, sparse_blocks(mats))
 
 
 @pytest.mark.parametrize("V,failing,message", [
@@ -630,7 +663,8 @@ def test_relations_agree_with_the_oracle_on_every_small_one_dimensional_module(c
     dims = (0,) + (1,) * top if cat is DELTA else (1,) * (top + 1)
     verdicts = []
     for values in itertools.product(entries, repeat=len(keys)):
-        V = from_elementary(cat, top, dims, {k: Matrix(1, 1, [[v]]) for k, v in zip(keys, values)})
+        V = from_elementary(cat, top, dims, sparse_blocks({k: Matrix(1, 1, [[v]])
+                                                          for k, v in zip(keys, values)}))
         try:
             check_relations(V)
             passed = True
@@ -718,9 +752,9 @@ def test_module_file_round_trip_bit_exact():
 
 def dense_write_module(V):
     """catmod/1 text through dense matrices: every block of ``V`` as the
-    :class:`Matrix` of ``to_elementary`` (or the stored one), printed by
-    ``format_matrix`` -- the reference the sparse writer must reproduce."""
-    mats = V._elementary if V._elementary is not None else to_elementary(V)
+    :class:`Matrix` of ``V.act``, printed by ``format_matrix`` -- the
+    reference the sparse writer must reproduce."""
+    mats = dense_blocks(V)
     lines = ["catmod/1", "category %s" % V.category, "max_level %d" % V.max_level,
              "dims %s" % " ".join(str(d) for d in V.dims)]
     for key in elementary_keys(V.category, V.max_level):
@@ -760,7 +794,7 @@ def _write_fixtures():
     out["rescaled C2"] = _rescaled(out["C2"], lambda n: Fraction(-2, 3) ** n)
     out["rescaled H1"] = _rescaled(out["H1"], lambda n: Fraction(-5, 2) ** n)
     small = make_simple("Ck", 4, k=2)
-    out["conjugated C2"] = from_elementary(N, 4, small.dims, _conjugated(small))
+    out["conjugated C2"] = from_elementary(N, 4, small.dims, sparse_blocks(_conjugated(small)))
     out["fi-subsets"] = injective_pushforward_module(4, 2)
     for name in list(out):
         out[name + " read back"] = read_module(write_module(out[name]))
