@@ -36,14 +36,10 @@ the category on its blocks, a few hundred products, and a module that
 satisfies them satisfies every functor law within the truncation (the
 argument is in that function's docstring).  A rule module is certified the
 same way through its elementary copy, which must also agree with the rule
-on every morphism.  Only when this fails does the check walk the pairs, so
-that it names the same first failing pair as before.  That walk evaluates
-each morphism once, when its hom set is first visited, and interns every
-distinct column to an int, so a matrix is a tuple of column ids.  Morphisms
-are keyed by value tuples (fiber orders in N), spelled as strings and
-composed by ``str.translate``, and each ``g`` maps column ids through a memo
-of its action on single columns: a pair costs a few dict lookups, and builds
-no morphism.
+on every morphism.  Only when this fails does the check walk the pairs in
+a fixed order, to name the first failing pair.  The walk is the loop a
+sampled check runs on its seeded draws: one composite and one column
+product per pair, with the columns of each morphism kept for the call.
 
 Module file format (versioned header ``catmod/1``): category tag, truncation
 level, dimension line, then one labeled matrix block per elementary morphism
@@ -55,6 +51,7 @@ and round-trips are bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -348,16 +345,16 @@ def check_relations(V):
     ``tau_i^2 = 1``, of a commutation, of ``s_i o tau_i = s_i`` and of a
     crossed relation at a coface have length at most 2.  A side of length 2
     equals the evaluator on the composite by a pair check, and a shorter side
-    is its own canonical chain, so both sides agree.  The braid relation is checked as it stands.  A crossed relation
-    at a codegeneracy may have a right side of length 3 (a 3-cycle after
-    ``s_j``), but that side is the canonical chain of the composite, which
-    the pair check compares with the left side.  These relations rewrite
-    every word into canonical form: transpositions move right, then the
-    cosimplicial identities and the Coxeter relations normalize the
-    monotone part and the permutation.  In F, a fiber order that is not
-    increasing is absorbed by ``s_i o tau_i = s_i``.  No rewriting step
-    passes through a level above the highest level of the word, so the
-    argument holds within the truncation.
+    is its own canonical chain, so both sides agree.  The braid relation is
+    checked as it stands.  A crossed relation at a codegeneracy may have a
+    right side of length 3 (a 3-cycle after ``s_j``), but that side is the
+    canonical chain of the composite, which the pair check compares with the
+    left side.  These relations rewrite every word into canonical form:
+    transpositions move right, then the cosimplicial identities and the
+    Coxeter relations normalize the monotone part and the permutation.  In F,
+    a fiber order that is not increasing is absorbed by ``s_i o tau_i = s_i``.
+    No rewriting step passes through a level above the highest level of the
+    word, so the argument holds within the truncation.
 
     On a rule module the checks are sound but not complete; a rule is
     certified through its elementary copy (:func:`check_functoriality`).
@@ -407,9 +404,12 @@ def check_functoriality(V, trials=500, seed=0):
     An exhaustive check certifies by the defining relations first
     (:func:`check_relations`; a rule module through its elementary copy).
     When they hold, every pair holds, and the report counts all ``total``
-    pairs as covered.  When they fail, the pairs are walked in order, so the
-    report names the first failing pair.  A walk that finds none contradicts
-    the relation check and raises ``RuntimeError``.
+    pairs as covered.  When they fail, the pairs are walked in the order
+    ``a, b, c, g, f`` (``f: [a] -> [b]``, ``g: [b] -> [c]``), so the report
+    names the first failing pair.  A walk that finds none contradicts the
+    relation check and raises ``RuntimeError``.  Both checks run one loop,
+    ``V(g o f) = V(g) V(f)`` on sparse columns, with the columns of each
+    morphism kept for the call.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -434,78 +434,23 @@ def check_functoriality(V, trials=500, seed=0):
         return total
 
     total = pair_count()
-    checked = 0
-
-    if total <= trials:
+    exhaustive = total <= trials
+    if exhaustive:
         if _relations_certify(V):
             return FunctorialityReport(True, total, True, None)
-        # Each distinct column is interned to an int, so a matrix is a tuple
-        # of column ids.  Each morphism is spelled as a word, one letter per
-        # element: its values, or in N its fibers, each ended by "\0".
-        # str.translate composes two words (f's values through g's; in N,
-        # g's fibers through f's), and a word keys its morphism's column
-        # ids in one dict per hom set, filled when the hom set is first
-        # visited.  Each g maps column ids through a memo filled one column
-        # at a time, so a pair builds no morphism and multiplies no columns.
-        column_ids, id_columns = {}, []
+        homs = {(a, b): enumerate_hom(cat, a, b) for a in levels for b in levels}
+        pairs = ((f, g) for a in levels for b in levels for c in levels
+                 for g in homs[b, c] for f in homs[a, b])
+    else:
+        def draws():
+            rng = random.Random(seed)
+            while True:
+                a, b, c = (rng.choice(levels) for _ in range(3))
+                if hom_count(cat, a, b) and hom_count(cat, b, c):
+                    f = random_mor(cat, a, b, rng)
+                    yield f, random_mor(cat, b, c, rng)
 
-        def intern(cols):
-            out = []
-            for col in cols:
-                i = column_ids.get(col)
-                if i is None:
-                    i = column_ids[col] = len(id_columns)
-                    id_columns.append(col)
-                out.append(i)
-            return tuple(out)
-
-        homs = {}
-
-        def hom(a, b):
-            """hom(a, b) with the word, translation table, column ids and
-            action memo of each morphism, and the column ids by word."""
-            got = homs.get((a, b))
-            if got is None:
-                mors = enumerate_hom(cat, a, b)
-                if cat is N:
-                    spelled = [["".join(map(chr, fib)) for fib in m.fiber_orders] for m in mors]
-                    words = ["".join(fib + "\0" for fib in sp) for sp in spelled]
-                    tables = [("\0",) + tuple(sp) for sp in spelled]
-                else:
-                    words = ["".join(map(chr, (m.map if cat is DELTA else m).values)) for m in mors]
-                    tables = ["\0" + w for w in words]
-                ids = [intern(columns(m)) for m in mors]
-                got = homs[a, b] = (mors, words, tables, ids, [{} for _ in mors],
-                                    dict(zip(words, ids)))
-            return got
-
-        for a in levels:
-            for b in levels:
-                homs_ab, words_ab, tables_ab, ids_ab, _, _ = hom(a, b)
-                if not homs_ab:
-                    continue
-                for c in levels:
-                    homs_bc, words_bc, tables_bc, ids_bc, acts_bc, _ = hom(b, c)
-                    if not homs_bc:
-                        continue
-                    ids_ac = hom(a, c)[5]
-                    for g, gword, gtable, gids, act in zip(homs_bc, words_bc, tables_bc, ids_bc, acts_bc):
-                        for f, fword, ftable, fids in zip(homs_ab, words_ab, tables_ab, ids_ab):
-                            checked += 1
-                            key = gword.translate(ftable) if cat is N else fword.translate(gtable)
-                            try:
-                                got = tuple([act[i] for i in fids])
-                            except KeyError:
-                                gc = tuple([id_columns[i] for i in gids])
-                                for i in fids:
-                                    if i not in act:
-                                        act[i] = intern(compose_columns(gc, (id_columns[i],)))[0]
-                                got = tuple([act[i] for i in fids])
-                            if got != ids_ac[key]:
-                                return FunctorialityReport(False, checked, True, (f, g))
-        raise RuntimeError("%r fails its defining relations but passes all %d composable pairs"
-                           % (V, checked))
-
+        pairs = itertools.islice(draws(), trials)
     cache = {}
 
     def cols(m):
@@ -514,17 +459,13 @@ def check_functoriality(V, trials=500, seed=0):
             got = cache[m] = columns(m)
         return got
 
-    rng = random.Random(seed)
-    while checked < trials:
-        a, b, c = (rng.choice(levels) for _ in range(3))
-        if hom_count(cat, a, b) == 0 or hom_count(cat, b, c) == 0:
-            continue
-        f = random_mor(cat, a, b, rng)
-        g = random_mor(cat, b, c, rng)
-        checked += 1
+    for checked, (f, g) in enumerate(pairs, 1):
         if cols(compose_in(cat, g, f)) != compose_columns(cols(g), cols(f)):
-            return FunctorialityReport(False, checked, False, (f, g))
-    return FunctorialityReport(True, checked, False, None)
+            return FunctorialityReport(False, checked, exhaustive, (f, g))
+    if exhaustive:
+        raise RuntimeError("%r fails its defining relations but passes all %d composable pairs"
+                           % (V, total))
+    return FunctorialityReport(True, trials, False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -789,4 +730,6 @@ def read_module(text, name=""):
             raise ParseError("block %r: %s" % (key, e), line=at) from None
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise ParseError("trailing content after module blocks", line=pos + 1)
-    return from_elementary(category, max_level, dims, blocks, name=name)
+    # parse_columns builds every block sorted, zero-free, in range and of
+    # its width, which is all from_elementary would check
+    return CatModule(category, max_level, dims, elementary=blocks, name=name)

@@ -1,9 +1,11 @@
 import functools
 import gc
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -479,7 +481,24 @@ def test_factor_tables_match_the_chain_fold(name):
         expected = chain_fold_columns(V, f, keys)
         assert columns(f) == expected, format_mor(f)
         assert V.columns(f) == expected, format_mor(f)
-    assert set(V.memo) <= set(elementary_keys(V.category, V.max_level))
+    assert V.memo == {}
+
+
+# corrupted FACTOR_TABLE_FIXTURES name: [pairs checked, counterexample (f, g)
+# as format_mor text] of the exhaustive check, as recorded when the failing
+# walk interned columns and composed morphisms as strings
+WALK_VERDICTS = Path(__file__).parent / "data" / "walk_verdicts.json"
+
+
+def test_factor_table_corruptions_fail_at_the_pinned_pair():
+    verdicts = json.loads(WALK_VERDICTS.read_text())
+    corrupted = {name: V for name, V in FACTOR_TABLE_FIXTURES.items() if "!" in name}
+    assert set(verdicts) == set(corrupted) and len(verdicts) == 94
+    for name, V in corrupted.items():
+        report = check_functoriality(V, trials=10 ** 9)
+        assert not report.passed and report.exhaustive, name
+        assert [report.pairs_checked, [format_mor(m) for m in report.counterexample]] \
+            == verdicts[name], name
 
 
 def test_factor_table_fixtures_cover_every_category_and_fractions():
@@ -496,8 +515,9 @@ def test_factor_table_fixtures_cover_every_category_and_fractions():
 def pairwise_check_functoriality(V):
     """The exhaustive functor-law check as a loop over composable pairs, in
     the order a, b, c, g, f, with the columns of every morphism cached by the
-    morphism and one column product per pair: the reference the interned
-    check must reproduce."""
+    morphism and one column product per pair.  ``check_functoriality``
+    walks the same loop, so the recorded verdicts (``CORRUPTION_VERDICTS``,
+    ``WALK_VERDICTS``) are what hold both to an independent result."""
     cat = V.category
     levels = list(V.levels)
     for n in levels:
@@ -675,6 +695,17 @@ def test_relations_agree_with_the_oracle_on_every_small_one_dimensional_module(c
     assert len(verdicts) == len(entries) ** len(keys) and 1 < sum(verdicts) < len(verdicts)
 
 
+def test_trials_equal_to_the_pair_count_make_the_check_exhaustive():
+    V = make_simple("Ck", 3, k=2)       # 7,564 composable pairs
+    assert str(check_functoriality(V, trials=7564)) == "functoriality ok (7564 pairs, exhaustive)"
+    assert str(check_functoriality(V, trials=7563)) == "functoriality ok (7563 pairs, sampled)"
+    W = dict(_single_entry_corruptions(V))["coface", 2, 1]
+    report = check_functoriality(W, trials=7564)
+    pairs, witness = CORRUPTION_VERDICTS["C2@3", ("coface", 2, 1)]
+    assert report.exhaustive and report.pairs_checked == pairs
+    assert tuple(format_mor(m) for m in report.counterexample) == witness
+
+
 def test_a_pair_walk_that_contradicts_the_relations_is_an_internal_error(monkeypatch):
     def reject(V):
         raise FunctorialityError("rejected")
@@ -689,10 +720,10 @@ def test_exhaustive_check_leaves_no_state_behind():
     V = read_module(write_module(make_simple("Ck", 3, k=2)))
     assert check_functoriality(V, trials=10 ** 9).passed
     assert descends_through_phi(V, 3).passed
-    assert set(V.memo) <= set(elementary_keys(N, 3))
+    assert V.memo == {}
     H = read_module(write_module(arnold_module(1, 3)))
     assert check_functoriality(restrict(H, "phi"), trials=10 ** 9).passed
-    assert set(H.memo) <= set(elementary_keys(F, 3))
+    assert H.memo == {}
     # no evaluation table outlives its call at module level
     for module in (repmod, simples):
         assert not [name for name, value in vars(module).items()
@@ -737,7 +768,7 @@ def test_exhaustive_check_leaves_no_state_behind():
     finally:
         tracemalloc.stop()
     assert live() == before
-    assert grown < 8_000, grown     # interned columns kept across calls: ~30 kB
+    assert grown < 8_000, grown     # catches a table of columns kept across calls
 
 
 def test_module_file_round_trip_bit_exact():
@@ -818,6 +849,24 @@ def test_write_fixtures_cover_signs_fractions_and_empty_levels():
     assert any(0 in V.dims[1:] for V in WRITE_FIXTURES.values())
     for name in ("rescaled C2", "rescaled H1"):
         assert check_functoriality(WRITE_FIXTURES[name], trials=300).passed
+
+
+def test_read_blocks_equal_the_normalized_blocks():
+    """``read_module`` keeps the columns it parses, which must be exactly the
+    blocks ``from_elementary`` normalizes, to the type of each coefficient."""
+    def normalized(V):
+        return from_elementary(V.category, V.max_level, V.dims, to_elementary(V))._elementary
+
+    texts = [(write_module(V), normalized(V)) for V in WRITE_FIXTURES.values()]
+    C2 = make_simple("Ck", 4, k=2)
+    respelled = "\n".join(line if line[:1].isalpha() else " ".join(
+        {"0": "-0", "1": "2/2"}.get(tok, tok) for tok in line.split())
+        for line in write_module(C2).splitlines()) + "\n"
+    assert "-0 2/2" in respelled
+    texts.append((respelled, normalized(C2)))
+    for text, expected in texts:
+        got = read_module(text)._elementary
+        assert got == expected and repr(got) == repr(expected)
 
 
 def test_elementary_keys_shapes():
