@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactla import LinearSystem, ZERO
+from .exactla import ZERO, Matrix, hstack, reduce, solve
 from .repmod import permutation_action
 
 
@@ -173,7 +173,11 @@ def fit_character_polynomial(V, max_degree, fit_levels, test_levels):
 
     Solves the linear system of all (level, class) character values over the
     fit levels, then verifies exactly on the disjoint test levels.  Returns
-    the polynomial, or the first failing (level, partition) witness.
+    the polynomial, or the first failing (level, partition) witness: on the
+    fit side, the first equation in (level, partition) order that contradicts
+    the ones before it.  A monomial of degree above every fit level vanishes
+    on each class of those levels, so the solve would set its coefficient to
+    zero; only monomials up to the highest fit level enter the system.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative, got %d" % max_degree)
@@ -181,17 +185,26 @@ def fit_character_polynomial(V, max_degree, fit_levels, test_levels):
     test_levels = sorted(test_levels)
     if set(fit_levels) & set(test_levels):
         raise ValueError("fit and test levels must be disjoint")
-    keys = monomial_keys(max_degree)
-    system = LinearSystem(len(keys))
+    keys = monomial_keys(min(max_degree, max(fit_levels, default=0)))
+    equations, rows, values = [], [], []
     for n in fit_levels:
         char = character(V, n)
         for lam in partitions_of(n):
             counts = cycle_counts(lam)
-            row = [Fraction(_eval_monomial(key, counts)) for key in keys]
-            if not system.add(row, char[lam]):
-                return FitOutcome(False, None, (n, lam))
-    solution = system.solution()
-    poly = CharacterPolynomial.from_dict(dict(zip(keys, solution)))
+            equations.append((n, lam))
+            rows.append([_eval_monomial(key, counts) for key in keys])
+            values.append([char[lam]])
+    a = Matrix(len(rows), len(keys), rows)
+    b = Matrix(len(rows), 1, values)
+    solution = solve(a, b)
+    if solution is None:
+        # equation k contradicts the ones before it exactly when its
+        # coefficient row depends on theirs but its augmented row does not;
+        # the values raise the rank by one, so one equation is a pivot of the
+        # augmented transpose and not of the coefficient transpose
+        (k,) = set(reduce(hstack([a, b]).transpose())[2]) - set(reduce(a.transpose())[2])
+        return FitOutcome(False, None, equations[k - 1])
+    poly = CharacterPolynomial.from_dict(dict(zip(keys, (row[0] for row in solution.data))))
     for n in test_levels:
         char = character(V, n)
         for lam in partitions_of(n):

@@ -32,10 +32,8 @@ from .catcore import (
     DELTA, DeltaMor, ParseError, coface_map, codegen_map, parse_count,
 )
 from .chars import BinomialPolynomial
-from .exactla import (
-    ONE, Matrix, format_matrix, kernel, parse_matrix, solve, vstack,
-)
-from .repmod import CatModule, FunctorialityError
+from .exactla import ONE, Matrix, format_matrix, kernel, parse_matrix, solve
+from .repmod import CatModule, FunctorialityError, compose_columns
 
 
 class CochainComplex:
@@ -85,18 +83,25 @@ def one_term_complex(p, dim=1):
     return CochainComplex(p, dims, diffs)
 
 
-def _codegeneracies_into(V, n):
-    """Acting matrices of the ``n - 1`` codegeneracies ``V[n] -> V[n-1]``."""
-    return [V.act(DeltaMor(codegen_map(n - 1, i))) for i in range(1, n)]
+def _stacked_codegeneracies(columns, dims, n):
+    """The ``n - 1`` codegeneracies ``V[n] -> V[n-1]`` stacked into one
+    matrix, the ``i``-th in the ``i``-th block of ``dims[n-1]`` rows."""
+    stacked = [[] for _ in range(dims[n])]
+    for i in range(1, n):
+        offset = (i - 1) * dims[n - 1]
+        for col, block in zip(stacked, columns(DeltaMor(codegen_map(n - 1, i)))):
+            col.extend((offset + r, c) for r, c in block)
+    return Matrix.from_sparse(stacked, (n - 1) * dims[n - 1])
 
 
-def _coface_sum(V, n):
-    """Alternating sum of the coface actions ``V[n] -> V[n+1]``."""
-    total = Matrix.zeros(V.dims[n + 1], V.dims[n])
-    for i in range(1, n + 2):
-        mat = V.act(DeltaMor(coface_map(n, i)))
-        total = total + (mat if i % 2 else -mat)
-    return total
+def _coface_sum(columns, dims, n):
+    """Alternating sum of the coface actions ``V[n] -> V[n+1]``: the cofaces
+    side by side, applied to columns of signs."""
+    side_by_side = tuple(col for i in range(1, n + 2)
+                         for col in columns(DeltaMor(coface_map(n, i))))
+    signs = tuple(tuple((i * dims[n] + j, -1 if i % 2 else 1) for i in range(n + 1))
+                  for j in range(dims[n]))
+    return Matrix.from_sparse(compose_columns(side_by_side, signs), dims[n + 1])
 
 
 def conormalize(V):
@@ -110,18 +115,13 @@ def conormalize(V):
     if V.category is not DELTA:
         raise ValueError("conormalize applies to Delta modules")
     top = V.max_level - 1
-    bases = []
-    for p in range(top + 1):
-        n = p + 1
-        if p == 0:
-            bases.append(Matrix.identity(V.dims[1]))
-        else:
-            stacked = vstack(_codegeneracies_into(V, n))
-            bases.append(kernel(stacked))
+    columns = V.evaluator()
+    bases = [Matrix.identity(V.dims[1])]
+    bases += [kernel(_stacked_codegeneracies(columns, V.dims, n)) for n in range(2, top + 2)]
     dims = tuple(b.cols for b in bases)
     diffs = []
     for p in range(top):
-        image = _coface_sum(V, p + 1) * bases[p]
+        image = _coface_sum(columns, V.dims, p + 1) * bases[p]
         coords = solve(bases[p + 1], image)
         if coords is None:
             raise FunctorialityError(

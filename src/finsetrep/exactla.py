@@ -2,13 +2,17 @@
 
 Maps are carried in one of two forms.  :class:`Matrix` is an immutable dense
 matrix whose entries are `fractions.Fraction` values (automatically in lowest
-terms with positive denominator); elimination, kernels and solving work on
-it.  *Sparse columns* hold, for each column, the ``(row, coeff)`` pairs of
-its nonzero entries sorted by row, with ``coeff`` an ``int`` when integral
-and a ``Fraction`` otherwise (:func:`coefficient`); the elementary blocks of
-a module live in this form from file to evaluator, and
-:meth:`Matrix.from_sparse` densifies it.  All computations are exact; no
-floating point appears anywhere.
+terms with positive denominator); one elimination, :func:`reduce`, works on
+it, and :func:`rank`, :func:`kernel` and :func:`solve` read their answers
+off its reduced form.  *Sparse columns* hold, for each column, the
+``(row, coeff)`` pairs of its nonzero entries sorted by row, with ``coeff``
+an ``int`` when integral and a ``Fraction`` otherwise (:func:`coefficient`);
+the elementary blocks of a module live in this form from file to evaluator.
+A dense matrix is built from its rows or, from sparse columns, by
+:meth:`Matrix.from_sparse`; a sum or stack of maps is formed on their sparse
+columns first, and the only dense stack is :func:`hstack`, the augmented
+system of :func:`solve`.  All computations are exact; no floating point
+appears anywhere.
 
 Text form: one line per row, entries separated by single spaces, each entry
 written ``p/q`` or as a bare integer ``p`` meaning ``p/1``.  Matrices with a
@@ -57,17 +61,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_columns(cls, columns, rows):
-        cols = len(columns)
-        data = [[ZERO] * cols for _ in range(rows)]
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column %d has wrong length" % j)
-            for i, x in enumerate(col):
-                data[i][j] = x
-        return cls(rows, cols, data)
-
-    @classmethod
     def from_sparse(cls, columns, rows):
         """The ``rows x len(columns)`` matrix with the given sparse columns."""
         data = [[ZERO] * len(columns) for _ in range(rows)]
@@ -100,21 +93,6 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
 
-    def __neg__(self):
-        return Matrix._make(self.rows, self.cols,
-                            tuple(tuple(-x for x in row) for row in self.data))
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in addition: %r vs %r" % (self.shape, other.shape))
-        return Matrix._make(
-            self.rows, self.cols,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)),
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -144,17 +122,6 @@ class Matrix:
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)
-
-
-def vstack(mats):
-    mats = list(mats)
-    if not mats:
-        raise ValueError("vstack of no matrices")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("vstack column mismatch")
-    data = tuple(row for m in mats for row in m.data)
-    return Matrix._make(len(data), cols, data)
 
 
 def hstack(mats):
@@ -222,15 +189,13 @@ def kernel(a):
     """
     rref, rk, pivots = reduce(a)
     pivot_set = set(pivots)
-    free = [c for c in range(1, a.cols + 1) if c not in pivot_set]
     columns = []
-    for f in free:
-        v = [ZERO] * a.cols
-        v[f - 1] = ONE
-        for row_idx, p in enumerate(pivots):
-            v[p - 1] = -rref.data[row_idx][f - 1]
-        columns.append(v)
-    return Matrix.from_columns(columns, a.cols)
+    for f in range(a.cols):
+        if f + 1 not in pivot_set:
+            col = [(p - 1, -row[f]) for p, row in zip(pivots, rref.data) if row[f]]
+            col.append((f, ONE))
+            columns.append(col)
+    return Matrix.from_sparse(columns, a.cols)
 
 
 def solve(a, b):
@@ -248,55 +213,6 @@ def solve(a, b):
     for row_idx, p in enumerate(pivots):
         x[p - 1] = list(rref.data[row_idx][a.cols:])
     return Matrix(a.cols, b.cols, x)
-
-
-class LinearSystem:
-    """Incremental exact solver for ``A x = b`` kept in reduced form.
-
-    Equations are added one at a time; :meth:`add` returns False exactly when
-    the new equation is inconsistent with the ones already present, which lets
-    callers report the first offending equation.
-    """
-
-    def __init__(self, num_vars):
-        self.num_vars = num_vars
-        self._rows = []     # reduced rows, each a list of length num_vars + 1
-        self._pivots = []   # 0-based pivot column per stored row
-
-    def add(self, coeffs, rhs):
-        if len(coeffs) != self.num_vars:
-            raise ValueError("equation has wrong number of coefficients")
-        row = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
-        row.append(rhs if type(rhs) is Fraction else Fraction(rhs))
-        for stored, p in zip(self._rows, self._pivots):
-            t = row[p]
-            if t:
-                for j in range(p, self.num_vars + 1):
-                    if stored[j]:
-                        row[j] -= t * stored[j]
-        pivot = next((j for j in range(self.num_vars) if row[j]), None)
-        if pivot is None:
-            return not row[self.num_vars]
-        pv = row[pivot]
-        if pv != ONE:
-            inv = ONE / pv
-            row = [x * inv for x in row]
-        for stored, p in zip(self._rows, self._pivots):
-            t = stored[pivot]
-            if t:
-                for j in range(pivot, self.num_vars + 1):
-                    if row[j]:
-                        stored[j] -= t * row[j]
-        self._rows.append(row)
-        self._pivots.append(pivot)
-        return True
-
-    def solution(self):
-        """A particular solution with free variables set to zero."""
-        x = [ZERO] * self.num_vars
-        for row, p in zip(self._rows, self._pivots):
-            x[p] = row[self.num_vars]
-        return x
 
 
 def format_matrix(a):

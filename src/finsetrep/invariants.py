@@ -114,7 +114,7 @@ def invariants_basis(V, n):
         d = V.dims[n]
         moves = [_minus_identity(t, d) for t in _transpositions(V, n)] if d else []
         rref, rank, _ = reduce(_common_kernel(moves, d).transpose())
-        basis = Matrix.from_columns([rref.data[i] for i in range(rank)], d)
+        basis = Matrix(rank, d, rref.data[:rank]).transpose()
         got = V.memo[key] = InvariantBasis(n, basis, _averaging_projector(moves, basis))
     return got
 

@@ -63,7 +63,7 @@ from .catcore import (
     identity_n, increasing_fibers, injection_chain, lift, parse_count,
     permutation_chain, random_mor, surjection_chain, transposition_map,
 )
-from .exactla import ZERO, Matrix, coefficient, parse_columns, reduce
+from .exactla import Matrix, coefficient, parse_columns, reduce
 
 
 class FunctorialityError(ValueError):
@@ -547,7 +547,7 @@ def _spans_from(V, g):
             ident = catcore.format_mor(_identity_mor(V.category, n))
             witnesses[n] = tuple((ident, j) for j in range(V.dims[n]))
             continue
-        vectors = []       # collected column vectors
+        vectors = []       # collected sparse columns
         provenance = []
         for j in range(1 if V.category is DELTA else 0, g + 1):
             if V.dims[j] == 0:
@@ -555,14 +555,11 @@ def _spans_from(V, g):
             for f in enumerate_hom(V.category, j, n):
                 for idx, col in enumerate(columns(f)):
                     if col:
-                        vec = [ZERO] * V.dims[n]
-                        for r, c in col:
-                            vec[r] = c
-                        vectors.append(vec)
+                        vectors.append(col)
                         provenance.append((catcore.format_mor(f), idx))
         if not vectors:
             return None
-        rref, rk, pivots = reduce(Matrix.from_columns(vectors, V.dims[n]))
+        rref, rk, pivots = reduce(Matrix.from_sparse(vectors, V.dims[n]))
         if rk < V.dims[n]:
             return None
         witnesses[n] = tuple(provenance[p - 1] for p in pivots)

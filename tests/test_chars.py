@@ -114,6 +114,32 @@ def test_fit_reports_inconsistency_with_witness():
     assert level in range(1, 5) and sum(lam) == level
 
 
+# (module, degree, fit levels, test levels) -> the fit's text.  A fit-side
+# witness is the first (level, class) equation, in that order, that
+# contradicts the ones before it; the C2 (1, 2) and C1 () cases fail on the
+# test levels, and the last two fits succeed
+FIT_OUTCOMES = (
+    (("Ck", 5, 2), 1, range(1, 5), (5,), "inconsistent at (2, (1, 1))"),
+    (("Ck", 5, 2), 0, range(1, 5), (5,), "inconsistent at (2, (2,))"),
+    (("Ck", 6, 3), 2, range(1, 6), (6,), "inconsistent at (3, (2, 1))"),
+    (("H", 6, 1), 1, range(1, 6), (6,), "inconsistent at (2, (1, 1))"),
+    (("Ck", 5, 2), 2, (1, 2), range(3, 6), "inconsistent at (3, (3,))"),
+    (("Ck", 6, 3), 2, (4, 5), (6,), "inconsistent at (5, (4, 1))"),
+    (("Ck", 4, 1), 1, (), (1, 2), "inconsistent at (1, (1,))"),
+    (("H", 6, 1), 2, range(1, 4), range(4, 7), "C(X1,2) + X2"),
+    (("Ck", 6, 3), 3, range(1, 5), range(5, 7), "X1*X2 + C(X1,3) + X3"),
+)
+
+
+@pytest.mark.parametrize("module,d,fit,test,text", FIT_OUTCOMES)
+def test_fit_names_the_first_contradicting_equation(module, d, fit, test, text):
+    which, max_level, k = module
+    V = arnold_module(k, max_level) if which == "H" else make_simple(which, max_level, k=k)
+    out = fit_character_polynomial(V, d, fit, test)
+    assert str(out) == text
+    assert out.ok == (not text.startswith("inconsistent"))
+
+
 def test_fit_rejects_overlapping_levels():
     C1 = make_simple("Ck", 4, k=1)
     with pytest.raises(ValueError):

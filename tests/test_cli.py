@@ -86,6 +86,27 @@ def test_pipe_simple_into_charpoly_fit(capsys, monkeypatch):
     assert code == 0 and out.strip() == "C(X1,2) + X2"
 
 
+def test_failing_charpoly_fit_names_its_witness(capsys, monkeypatch):
+    code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "2", "--max", "5")
+    for fmt, expected in (("text", "inconsistent at (2, (1, 1))\n"),
+                          ("json", '{"ok": false, "witness": "(2, (1, 1))"}\n')):
+        monkeypatch.setattr("sys.stdin", io.StringIO(module_text))
+        code, out, err = run_cli(capsys, "fit", "charpoly", "-", "--d", "1",
+                                 "--fit", "1..4", "--test", "5", "--format", fmt)
+        assert (code, out, err) == (1, expected, "")
+
+
+def test_charpoly_fit_of_a_large_degree_builds_only_the_monomials_it_can_see(capsys, monkeypatch):
+    # monomials of degree 4..60 vanish on every class of the fit levels 1..3;
+    # the monomials up to degree 60, one per partition of each degree, would
+    # number 6,639,349
+    code, module_text, _ = run_cli(capsys, "simple", "Ck", "--k", "2", "--max", "5")
+    monkeypatch.setattr("sys.stdin", io.StringIO(module_text))
+    code, out, err = run_cli(capsys, "fit", "charpoly", "-", "--d", "60",
+                             "--fit", "1..3", "--test", "4..5")
+    assert (code, out, err) == (0, "C(X1,2) + X2\n", "")
+
+
 def test_fit_dimpoly_values(capsys):
     code, out, _ = run_cli(capsys, "fit", "dimpoly", "--d", "2",
                            "--values", "1 3 6 10 15 21")

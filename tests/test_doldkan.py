@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 from math import comb
@@ -12,7 +14,11 @@ from finsetrep.doldkan import (
     write_complex,
 )
 from finsetrep.exactla import Matrix, ONE, ZERO, kernel, rank
-from finsetrep.repmod import CatModule, FunctorialityError, check_functoriality, restrict
+from finsetrep.arnold import arnold_module
+from finsetrep.repmod import (
+    CatModule, FunctorialityError, check_functoriality, elementary_keys, elementary_shape,
+    from_elementary, restrict,
+)
 from finsetrep.simples import make_simple
 
 
@@ -203,6 +209,49 @@ def test_round_trip_preserves_dims_and_ranks():
         assert not any(back.dims[c.top + 1:])
         for p, d in enumerate(c.diffs):
             assert rank(back.diffs[p]) == rank(d)
+
+
+# the first three seeds from 0 whose random complex (entries -2..2, dims up
+# to 4) has a differential with a fractional entry: such a differential is
+# built on a left kernel of its predecessor with fractional entries
+FRACTIONAL_SEEDS = (12, 24, 29)
+
+def conormalize_fixtures():
+    """Delta modules whose conormalized complexes are pinned in
+    ``data/conormalized.json``."""
+    out = {}
+    for name, k in (("C1", 1), ("C2", 2), ("C3", 3), ("D1", None)):
+        out[name] = restrict(make_simple("D1" if k is None else "Ck", 5, k=k), "psi")
+    for i in range(3):
+        out["H%d" % i] = restrict(restrict(arnold_module(i, 6), "phi"), "psi")
+    for seed in FRACTIONAL_SEEDS:
+        c = random_complex(random.Random(seed), dim_max=4)
+        assert any(x.denominator != 1 for d in c.diffs for row in d.data for x in row)
+        out["realize-%d" % seed] = realize(c, c.top + 2)
+    return out
+
+
+def test_conormalized_complexes_match_the_recorded_text():
+    recorded = json.loads((pathlib.Path(__file__).parent / "data" / "conormalized.json").read_text())
+    got = {name: write_complex(conormalize(V)) for name, V in conormalize_fixtures().items()}
+    assert got == recorded
+    assert any("/" in text.split("\n", 1)[1] for text in got.values())
+
+
+def test_conormalize_refuses_a_coface_sum_leaving_the_kernels():
+    # an elementary Delta module with random entries in {0, 1, -1}: no
+    # functor, and its alternating coface sum leaves the codegeneracy kernels
+    rng = random.Random(0)
+    dims = (0, 1, 2, 3)
+    blocks = {}
+    for key in elementary_keys(DELTA, 3):
+        rows, cols = elementary_shape(dims, key)
+        blocks[key] = [[(r, c) for r in range(rows) if (c := rng.choice((0, 1, -1)))]
+                       for _ in range(cols)]
+    V = from_elementary(DELTA, 3, dims, blocks, name="random")
+    with pytest.raises(FunctorialityError) as info:
+        conormalize(V)
+    assert str(info.value) == "coface sum does not preserve codegeneracy kernels at degree 1"
 
 
 def test_dim_polynomial_examples():

@@ -258,9 +258,9 @@ def test_sparse_evaluation_matches_dense_chain_product(name, cat, dims, mats, mo
                     cols = V.columns(f)
                     assert len(cols) == dims[m]
                     assert all(_canonical(c) for col in cols for _, c in col), (V.name, format_mor(f))
-                    assert Matrix.from_columns(
-                        [[dict(col).get(r, 0) for r in range(dims[n])] for col in cols],
-                        dims[n]) == expected, (V.name, format_mor(f))
+                    assert Matrix(dims[n], dims[m],
+                                  [[dict(col).get(r, 0) for col in cols] for r in range(dims[n])]
+                                  ) == expected, (V.name, format_mor(f))
                     mat = V.act(f)
                     assert mat == expected, (V.name, format_mor(f))
                     assert all(type(x) is Fraction for row in mat.data for x in row)
