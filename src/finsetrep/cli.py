@@ -13,13 +13,15 @@ form from a file argument or stdin (``-``), so emitters pipe into consumers::
 
 A module read this way is certified by the defining relations of its
 category first (:func:`finsetrep.repmod.check_relations`); one that fails
-them exits 1 with ``check failed:``.
+them exits 1 with ``check failed:``.  A reader that closes the pipe early
+(``| head -1``) ends the writer with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import acceptance, arnold, catcore, chars, doldkan, invariants, repmod
@@ -354,7 +356,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,17 +2,21 @@
 
 Maps are carried in one of two forms.  :class:`Matrix` is an immutable dense
 matrix whose entries are `fractions.Fraction` values (automatically in lowest
-terms with positive denominator); one elimination, :func:`reduce`, works on
-it, and :func:`rank`, :func:`kernel` and :func:`solve` read their answers
-off its reduced form.  *Sparse columns* hold, for each column, the
-``(row, coeff)`` pairs of its nonzero entries sorted by row, with ``coeff``
-an ``int`` when integral and a ``Fraction`` otherwise (:func:`coefficient`);
-the elementary blocks of a module live in this form from file to evaluator.
-A dense matrix is built from its rows or, from sparse columns, by
-:meth:`Matrix.from_sparse`; a sum or stack of maps is formed on their sparse
-columns first, and the only dense stack is :func:`hstack`, the augmented
-system of :func:`solve`.  All computations are exact; no floating point
-appears anywhere.
+terms with positive denominator).  *Sparse columns* hold, for each column,
+the ``(row, coeff)`` pairs of its nonzero entries sorted by row, with
+``coeff`` an ``int`` when integral and a ``Fraction`` otherwise
+(:func:`coefficient`); the elementary blocks of a module live in this form
+from file to evaluator.  A dense matrix is built from its rows or, from
+sparse columns, by :meth:`Matrix.from_sparse`; a sum or stack of maps is
+formed on their sparse columns first, and the only dense stack is
+:func:`hstack`, the augmented system of :func:`solve`.
+
+There is one elimination loop, :func:`eliminate`: row-sparse Gauss-Jordan on
+``{col: coeff}`` rows, whose coefficients stay integers until a pivot
+divides.  :func:`null_vectors` reads a kernel off its result;
+:func:`reduce` is its dense view, and :func:`rank`, :func:`kernel` and
+:func:`solve` read their answers off it directly.  All computations are
+exact; no floating point appears anywhere.
 
 Text form: one line per row, entries separated by single spaces, each entry
 written ``p/q`` or as a bare integer ``p`` meaning ``p/1``.  Matrices with a
@@ -135,50 +139,84 @@ def hstack(mats):
     return Matrix._make(rows, sum(m.cols for m in mats), data)
 
 
+def eliminate(rows):
+    """Reduced row-echelon form of the span of sparse ``rows``.
+
+    Each row is a ``{col: coeff}`` dict of its nonzero entries.  Returns
+    ``[(pivot, row), ...]`` sorted by pivot, each ``row`` such a dict whose
+    lowest column is ``pivot``, with entry 1 there and no entry in any other
+    pivot column.  Rows are added one at a time: a new row is reduced by the
+    pivots so far, its lowest column becomes a pivot, and that column is
+    cleared from the other rows.  Coefficients stay ``int`` until a pivot
+    divides (:func:`coefficient`).  The RREF of a row space is unique, so
+    the rows are the nonzero rows of :func:`reduce` entry for entry.
+    """
+    echelon = {}
+    for row in rows:
+        r = dict(row)
+        for p in [c for c in r if c in echelon]:
+            _subtract(r, r[p], echelon[p])
+        if not r:
+            continue
+        p = min(r)
+        pv = r[p]
+        if pv == -1:
+            r = {c: -x for c, x in r.items()}
+        elif pv != 1:
+            r = {c: coefficient(Fraction(x, pv)) for c, x in r.items()}
+        for e in echelon.values():
+            if p in e:
+                _subtract(e, e[p], r)
+        echelon[p] = r
+    return sorted(echelon.items())
+
+
+def _subtract(r, t, e):
+    """``r -= t * e`` in place, dropping the entries that become zero."""
+    for c, x in e.items():
+        y = r.get(c, 0) - t * x
+        if y:
+            r[c] = y
+        else:
+            r.pop(c, None)
+
+
+def null_vectors(echelon, ncols):
+    """One sparse kernel vector per free column ``f`` of ``echelon`` (as
+    :func:`eliminate` returns it): 1 at ``f`` and minus each pivot row's
+    entry in ``f`` at that pivot, as ``(index, coeff)`` pairs sorted by
+    index."""
+    free = {f: [] for f in range(ncols)}
+    for p, _ in echelon:
+        del free[p]
+    for p, row in echelon:
+        for c, x in row.items():
+            if c in free:
+                free[c].append((p, -x))
+    return [tuple(col) + ((f, 1),) for f, col in free.items()]
+
+
+def _rows(a):
+    """The rows of ``a`` as ``{col: coeff}`` dicts of their nonzero entries."""
+    return [{j: coefficient(x) for j, x in enumerate(row) if x} for row in a.data]
+
+
 def reduce(a):
-    """Reduced row-echelon form of ``a``.
+    """Reduced row-echelon form of ``a``: the dense view of :func:`eliminate`.
 
     Returns ``(rref, rank, pivot_cols)`` where ``pivot_cols`` is a tuple of
     1-based column indices, matching the 1-based set conventions used
     throughout the package.
     """
-    m = [list(row) for row in a.data]
-    nrows, ncols = a.rows, a.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != ONE:
-            inv = ONE / pv
-            m[r] = [x * inv for x in m[r]]
-        mr = m[r]
-        for i in range(nrows):
-            if i != r:
-                t = m[i][c]
-                if t:
-                    mi = m[i]
-                    for j in range(c, ncols):
-                        if mr[j]:
-                            mi[j] -= t * mr[j]
-        pivots.append(c + 1)
-        r += 1
-        if r == nrows:
-            break
-    rref = Matrix._make(nrows, ncols, tuple(tuple(row) for row in m))
-    return rref, r, tuple(pivots)
+    echelon = eliminate(_rows(a))
+    rank = len(echelon)
+    rows = [row.items() for _, row in echelon] + [()] * (a.rows - rank)
+    rref = Matrix.from_sparse(rows, a.cols).transpose()
+    return rref, rank, tuple(p + 1 for p, _ in echelon)
 
 
 def rank(a):
-    return reduce(a)[1]
+    return len(eliminate(_rows(a)))
 
 
 def kernel(a):
@@ -187,15 +225,7 @@ def kernel(a):
     The result has ``a.cols`` rows and ``a.cols - rank(a)`` columns, and
     satisfies ``a * kernel(a) = 0`` exactly.
     """
-    rref, rk, pivots = reduce(a)
-    pivot_set = set(pivots)
-    columns = []
-    for f in range(a.cols):
-        if f + 1 not in pivot_set:
-            col = [(p - 1, -row[f]) for p, row in zip(pivots, rref.data) if row[f]]
-            col.append((f, ONE))
-            columns.append(col)
-    return Matrix.from_sparse(columns, a.cols)
+    return Matrix.from_sparse(null_vectors(eliminate(_rows(a)), a.cols), a.cols)
 
 
 def solve(a, b):
@@ -205,13 +235,14 @@ def solve(a, b):
     """
     if a.rows != b.rows:
         raise ValueError("solve: row mismatch %r vs %r" % (a.shape, b.shape))
-    aug = hstack([a, b])
-    rref, rk, pivots = reduce(aug)
-    if any(p > a.cols for p in pivots):
+    echelon = eliminate(_rows(hstack([a, b])))
+    if any(p >= a.cols for p, _ in echelon):
         return None
     x = [[ZERO] * b.cols for _ in range(a.cols)]
-    for row_idx, p in enumerate(pivots):
-        x[p - 1] = list(rref.data[row_idx][a.cols:])
+    for p, row in echelon:
+        for c, v in row.items():
+            if c >= a.cols:
+                x[p][c - a.cols] = v
     return Matrix(a.cols, b.cols, x)
 
 

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from finsetrep import acceptance, cli
 from finsetrep.acceptance import CriterionResult
@@ -330,3 +334,31 @@ def test_cochain_with_nonzero_square_exits_2_at_the_differential(tmp_path, capsy
     assert code == 2 and out == ""
     assert err == "error: d o d != 0 at degree 0 (at line 6)\n", err
     assert "Traceback" not in err
+
+
+def _finsetrep(*argv, stdout):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return subprocess.Popen([sys.executable, "-m", "finsetrep", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    # 940,800 bytes of morphisms: far more than a pipe holds, so the writer
+    # is still writing when the reader closes after one line
+    proc = _finsetrep("hom", "--cat", "N", "--from", "5", "--to", "5", "--list", stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"5->5: 1,1,1,1,1 | orders: 1:(1,2,3,4,5); 2:(); 3:(); 4:(); 5:()\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_output_to_a_pipe_with_no_reader_exits_1_without_a_traceback():
+    # the one line stays buffered until the final flush, which finds no reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _finsetrep("hom", "--cat", "N", "--from", "2", "--to", "2", stdout=write_end)
+    os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

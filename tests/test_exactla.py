@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from finsetrep.exactla import (
-    Matrix, format_matrix, hstack, kernel, parse_columns, parse_matrix, rank, reduce, solve,
+    Matrix, eliminate, format_matrix, hstack, kernel, parse_columns, parse_matrix, rank, reduce,
+    solve,
 )
 from finsetrep.catcore import ParseError
 from finsetrep.repmod import read_module, write_module
 from finsetrep.simples import make_simple
+from helpers import dense_rref
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -76,6 +78,91 @@ def test_solve_underdetermined_sets_free_vars_to_zero():
     x = solve(a, b)
     assert a * x == b
     assert x.data[1][0] == 0
+
+
+def _oracle_matrix(rng, kind):
+    """A random matrix of one of four kinds, with 0 to 6 rows and columns."""
+    rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+    if kind == "sparse":      # mostly zeros, so zero rows and columns are common
+        entry = lambda: rng.choice((0, 0, 0, 1, -1, 2))
+    elif kind == "fraction":
+        entry = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    else:
+        entry = lambda: rng.randint(-3, 3)
+    if kind == "deficient" and rows and cols:  # a product through a narrower middle
+        mid = rng.randint(0, min(rows, cols) - 1)
+        left = Matrix(rows, mid, [[entry() for _ in range(mid)] for _ in range(rows)])
+        return left * Matrix(mid, cols, [[entry() for _ in range(cols)] for _ in range(mid)])
+    return Matrix(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _oracle_kernel(a):
+    rref, _, pivots = dense_rref(a)
+    free = [f for f in range(a.cols) if f + 1 not in pivots]
+    data = [[0] * len(free) for _ in range(a.cols)]
+    for k, f in enumerate(free):
+        data[f][k] = 1
+        for p, row in zip(pivots, rref.data):
+            data[p - 1][k] = -row[f]
+    return Matrix(a.cols, len(free), data)
+
+
+def _oracle_solve(a, b):
+    rref, _, pivots = dense_rref(hstack([a, b]))
+    if any(p > a.cols for p in pivots):
+        return None
+    data = [[0] * b.cols for _ in range(a.cols)]
+    for row, p in zip(rref.data, pivots):
+        data[p - 1] = row[a.cols:]
+    return Matrix(a.cols, b.cols, data)
+
+
+def test_elimination_matches_the_dense_oracle():
+    rng = random.Random(0)
+    seen = set()
+    for case in range(500):
+        a = _oracle_matrix(rng, ("integer", "sparse", "fraction", "deficient")[case % 4])
+        rref, rk, pivots = dense_rref(a)
+        assert reduce(a) == (rref, rk, pivots), a
+        assert rank(a) == rk
+        assert kernel(a) == _oracle_kernel(a), a
+        x0 = Matrix(a.cols, 2, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(a.cols)])
+        noise = Matrix(a.rows, 2, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(a.rows)])
+        assert solve(a, a * x0) == _oracle_solve(a, a * x0) is not None
+        assert solve(a, noise) == _oracle_solve(a, noise), (a, noise)
+        if solve(a, noise) is None:
+            seen.add("inconsistent")
+        # what this case covers: the first row to be eliminated gives the
+        # first pivot, its lowest nonzero entry
+        if not a.rows:
+            seen.add("0 x n")
+        if not a.cols:
+            seen.add("n x 0")
+        lead = next((next(x for x in row if x) for row in a.data if any(row)), None)
+        if lead is not None and lead.denominator != 1:
+            seen.add("fraction pivot")
+        elif lead is not None and abs(lead) != 1:
+            seen.add("non-unit pivot")
+        if any(not any(row) for row in a.data):
+            seen.add("zero row")
+        if rk < min(a.shape):
+            seen.add("rank deficient")
+    assert seen == {"0 x n", "n x 0", "fraction pivot", "non-unit pivot", "zero row",
+                     "rank deficient", "inconsistent"}
+
+
+def test_coefficients_stay_integers_until_a_pivot_divides():
+    # rows of a directed incidence matrix, such as those of ``tau - 1`` for a
+    # permutation ``tau``: totally unimodular, so every pivot is 1 or -1
+    rng = random.Random(0)
+    for _ in range(50):
+        edges = [rng.sample(range(8), 2) for _ in range(rng.randint(1, 12))]
+        echelon = eliminate({u: 1, v: -1} for u, v in edges)
+        assert all(type(x) is int for _, row in echelon for x in row.values())
+        assert all(row[p] == 1 and min(row) == p for p, row in echelon)
+    # a pivot that divides leaves integral quotients as ints
+    ((_, row),) = eliminate([{0: 2, 1: 4, 2: 3}])
+    assert row == {0: 1, 1: 2, 2: Fraction(3, 2)} and type(row[1]) is int
 
 
 def test_matrix_arithmetic_and_empty_shapes():

@@ -1,12 +1,14 @@
 import gc
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from finsetrep.arnold import arnold_module
 from finsetrep.catcore import N, SetMap, enumerate_hom, lift
-from finsetrep.exactla import Matrix, rank, reduce, solve
+from finsetrep.exactla import Matrix, format_matrix, rank, reduce, solve
 from finsetrep.invariants import (
     InvariantBasis, barred_map, invariants_basis, monotonicity_check,
     replication_iso_check, replication_map,
@@ -52,15 +54,15 @@ def _skewed(V):
     return from_elementary(V.category, V.max_level, V.dims, sparse_blocks(mats), name="skewed " + V.name)
 
 
-def _reference_fixtures():
+def _reference_fixtures(level=5):
     rules = {
-        "C1": make_simple("Ck", 5, k=1),
-        "C2": make_simple("Ck", 5, k=2),
-        "C3": make_simple("Ck", 5, k=3),
-        "D1": make_simple("D1", 5),
-        "H0": arnold_module(0, 5),
-        "H1": arnold_module(1, 5),
-        "H2": arnold_module(2, 5),
+        "C1": make_simple("Ck", level, k=1),
+        "C2": make_simple("Ck", level, k=2),
+        "C3": make_simple("Ck", level, k=3),
+        "D1": make_simple("D1", level),
+        "H0": arnold_module(0, level),
+        "H1": arnold_module(1, level),
+        "H2": arnold_module(2, level),
     }
     fixtures = list(rules.items())
     fixtures += [(name + " read back", read_module(write_module(V))) for name, V in rules.items()]
@@ -81,6 +83,33 @@ def test_generators_reproduce_the_averaging_sum(name, module):
         assert ib.projector == expected, (name, n)
         assert ib.basis == Matrix(module.dims[n], rk, [[rref.data[j][i] for j in range(rk)]
                                                        for i in range(module.dims[n])])
+
+
+def invariants_pins():
+    """``[rows, cols, text]`` of every invariant basis and projector of the
+    reference fixtures and H3 at level 6, and of the replication maps of C2,
+    H1 and their skewed copies, as pinned in ``data/invariants_pins.json``."""
+    fixtures = dict(_reference_fixtures(6))
+    fixtures["H3"] = arnold_module(3, 6)
+    out = {}
+
+    def pin(key, mat):
+        out[key] = [mat.rows, mat.cols, format_matrix(mat)]
+
+    for name, module in fixtures.items():
+        for n in range(7):
+            ib = invariants_basis(module, n)
+            pin("%s basis %d" % (name, n), ib.basis)
+            pin("%s projector %d" % (name, n), ib.projector)
+    for name in ("C2", "H1", "skewed C2", "skewed H1"):
+        for n, m in ((2, 2), (2, 3), (3, 2)):
+            pin("%s replication %d %d" % (name, n, m), barred_map(fixtures[name], replication_map(n, m)))
+    return out
+
+
+def test_invariants_match_the_recorded_text():
+    recorded = json.loads((pathlib.Path(__file__).parent / "data" / "invariants_pins.json").read_text())
+    assert invariants_pins() == recorded
 
 
 def test_invariants_of_c2():
