@@ -30,16 +30,19 @@ columns into a :class:`~finsetrep.exactla.Matrix`, whose entries are always
 Well-definedness of an elementary backend is never assumed: it is certified
 by :func:`check_functoriality`, which tests the functor laws on composable
 pairs (exhaustively whenever that is cheap enough, otherwise on a seeded
-random sample).  An exhaustive check does not enumerate the pairs of an
-elementary module: :func:`check_relations` tests the defining relations of
-the category on its blocks, a few hundred products, and a module that
+random sample).  Neither check enumerates the pairs of an elementary
+module: :func:`check_relations` tests the defining relations of the
+category on its blocks, a few hundred products, and a module that
 satisfies them satisfies every functor law within the truncation (the
-argument is in that function's docstring).  A rule module is certified the
-same way through its elementary copy, which must also agree with the rule
-on every morphism.  Only when this fails does the check walk the pairs in
-a fixed order, to name the first failing pair.  The walk is the loop a
-sampled check runs on its seeded draws: one composite and one column
-product per pair, with the columns of each morphism kept for the call.
+argument is in that function's docstring), so a sampled check of it
+returns the report its draws would give.  An exhaustive check of a rule
+module is certified the same way through its elementary copy, which must
+also agree with the rule on every morphism.  Only when this fails does the
+check walk the pairs in a fixed order, to name the first failing pair.
+The walk is the loop a sampled check runs on its seeded draws: one
+composite and one column product per pair, with the columns of each
+morphism kept for the call.  :func:`restrict` relabels the blocks of an
+elementary module rather than evaluating through the functor.
 
 Module file format (versioned header ``catmod/1``): category tag, truncation
 level, dimension line, then one labeled matrix block per elementary morphism
@@ -401,13 +404,17 @@ def check_functoriality(V, trials=500, seed=0):
     the truncation is at most ``trials``, else on ``trials`` pairs drawn from
     a ``random.Random(seed)``.  Deterministic given ``seed``.
 
-    An exhaustive check certifies by the defining relations first
-    (:func:`check_relations`; a rule module through its elementary copy).
-    When they hold, every pair holds, and the report counts all ``total``
-    pairs as covered.  When they fail, the pairs are walked in the order
-    ``a, b, c, g, f`` (``f: [a] -> [b]``, ``g: [b] -> [c]``), so the report
-    names the first failing pair.  A walk that finds none contradicts the
-    relation check and raises ``RuntimeError``.  Both checks run one loop,
+    An exhaustive check, and every check of an elementary module, certifies
+    by the defining relations first (:func:`check_relations`; a rule module
+    through its elementary copy).  When they hold, every pair holds: an
+    exhaustive report counts all ``total`` pairs as covered, and a sampled
+    one is the report its ``trials`` draws would give, returned without
+    drawing them.  When they fail, an exhaustive check walks the pairs in
+    the order ``a, b, c, g, f`` (``f: [a] -> [b]``, ``g: [b] -> [c]``), so
+    the report names the first failing pair; a walk that finds none
+    contradicts the relation check and raises ``RuntimeError``.  A sampled
+    check of a rule module, or of an elementary module that fails its
+    relations, runs its seeded draws.  The walk and the draws run one loop,
     ``V(g o f) = V(g) V(f)`` on sparse columns, with the columns of each
     morphism kept for the call.
     """
@@ -435,9 +442,9 @@ def check_functoriality(V, trials=500, seed=0):
 
     total = pair_count()
     exhaustive = total <= trials
+    if (exhaustive or V._elementary is not None) and _relations_certify(V):
+        return FunctorialityReport(True, min(total, trials), exhaustive, None)
     if exhaustive:
-        if _relations_certify(V):
-            return FunctorialityReport(True, total, True, None)
         homs = {(a, b): enumerate_hom(cat, a, b) for a in levels for b in levels}
         pairs = ((f, g) for a in levels for b in levels for c in levels
                  for g in homs[b, c] for f in homs[a, b])
@@ -477,26 +484,35 @@ def restrict(V, along):
     ``along="psi"`` turns an N-module into a Delta module by acting through
     increasing-fiber lifts of monotone maps; ``along="phi"`` turns an
     F-module into an N-module by forgetting fiber orders.
+
+    A rule module is evaluated through the functor.  An elementary module
+    is relabeled: its psi restriction keeps the coface and codegeneracy
+    blocks at levels ``>= 1``, which equals ``V(lift(d))`` on every Delta
+    morphism ``d`` even when ``V`` is no functor, because the permutation
+    ``sigma`` of a lift is the identity.  Its phi restriction is the same
+    blocks as an N-module, which equals ``V(forget(f))`` on every
+    N-morphism ``f`` whenever ``V`` is an F-functor, since both evaluate
+    the canonical chain of ``f``.
     """
+    blocks = V._elementary
     if along == "psi":
         if V.category is not N:
             raise ValueError("psi restriction applies to N-modules")
         dims = (0,) + V.dims[1:]
+        name = "%s|Delta" % (V.name or "V")
+        if blocks is not None:
+            return CatModule(DELTA, V.max_level, dims, name=name, elementary={
+                key: blocks[key] for key in elementary_keys(DELTA, V.max_level)})
         columns = V.evaluator()
-        return CatModule(
-            DELTA, V.max_level, dims,
-            columns=lambda d: columns(lift(d)),
-            name="%s|Delta" % (V.name or "V"),
-        )
+        return CatModule(DELTA, V.max_level, dims, columns=lambda d: columns(lift(d)), name=name)
     if along == "phi":
         if V.category is not F:
             raise ValueError("phi restriction applies to F-modules")
+        name = "%s|N" % (V.name or "V")
+        if blocks is not None:
+            return CatModule(N, V.max_level, V.dims, elementary=blocks, name=name)
         columns = V.evaluator()
-        return CatModule(
-            N, V.max_level, V.dims,
-            columns=lambda f: columns(forget(f)),
-            name="%s|N" % (V.name or "V"),
-        )
+        return CatModule(N, V.max_level, V.dims, columns=lambda f: columns(forget(f)), name=name)
     raise ValueError("unknown restriction %r" % (along,))
 
 

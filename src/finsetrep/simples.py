@@ -8,9 +8,11 @@ at ``[0]`` and zero elsewhere.
 
 These rules never look at fiber orders, so two N-morphisms with the same
 underlying set map act identically; :func:`descends_through_phi` verifies
-that property exhaustively for any N-module.  :func:`order_sign_module`
-is the deliberate counterexample: a rank-one rule multiplying the parities
-of all fiber orders, which the check must reject with a witness.
+that property for any N-module, and decides it for a certified elementary
+one by the one relation ``s_i o tau_i = s_i`` that F adds to N.
+:func:`order_sign_module` is the deliberate counterexample: a rank-one rule
+multiplying the parities of all fiber orders, which the check must reject
+with a witness.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .catcore import N, enumerate_hom, format_mor
-from .repmod import CatModule
+from .catcore import F, N, enumerate_hom, format_mor, hom_count
+from .repmod import CatModule, _relations_certify, compose_columns
 
 
 def subset_basis(n, k):
@@ -123,12 +125,36 @@ class DescendReport:
 def descends_through_phi(V, exhaustive_up_to):
     """Check that N-morphisms with equal underlying set maps act equally.
 
-    Exhausts every such pair with endpoints at most ``exhaustive_up_to``
-    (clipped to the truncation) and reports the first counterexample.
+    Covers every such pair with endpoints at most ``exhaustive_up_to``
+    (clipped to the truncation): the report counts the pairs covered and
+    names the first counterexample.  Grouping the morphisms of each hom set
+    by their underlying map, a group of ``k`` lifts is ``k - 1`` pairs, so
+    there are ``hom_count(N, m, n) - hom_count(F, m, n)`` pairs in all.
+
+    An elementary module that passes :func:`~finsetrep.repmod.check_relations`
+    is decided by the one relation F adds to N: it descends exactly when
+    ``V(s_i) V(tau_i) = V(s_i)`` for every codegeneracy ``s_i: [n+1] -> [n]``
+    with ``n + 1`` at most the bound.  *Sound:* two lifts ``f = iota o pi o
+    sigma`` and ``f'`` of one map differ by permutations inside fibers, so
+    ``f' = iota o pi o t o sigma`` with ``t`` a product of adjacent
+    transpositions ``tau_j`` whose ``j`` and ``j + 1`` share a fiber of the
+    monotone surjection ``pi``.  Such a ``pi`` factors as ``pi'' o s_j``, so
+    ``V(pi o tau_j) = V(pi'') V(s_j tau_j) = V(pi'') V(s_j) = V(pi)``
+    because ``V`` is a functor, and ``V(f') = V(f)`` one transposition at a
+    time.  No step leaves the levels ``<= m``.  *Complete:* ``s_i`` and
+    ``s_i o tau_i`` are two lifts of one map.  Every other module, and one
+    whose relations or whose codegeneracies fail, is walked pair by pair, so
+    the witness is the first failing pair of the walk.
     """
     if V.category is not N:
         raise ValueError("descends_through_phi applies to N-modules")
     bound = min(exhaustive_up_to, V.max_level)
+    blocks = V._elementary
+    if blocks is not None and _relations_certify(V) and all(
+            compose_columns(blocks["codegen", n, i], blocks["transp", n + 1, i])
+            == blocks["codegen", n, i] for n in range(1, bound) for i in range(1, n + 1)):
+        return DescendReport(True, sum(hom_count(N, m, n) - hom_count(F, m, n)
+                                       for m in range(bound + 1) for n in range(bound + 1)), None)
     columns = V.evaluator()
     checked = 0
     for m in range(bound + 1):

@@ -17,7 +17,7 @@ from finsetrep.exactla import Matrix, ONE, ZERO, kernel, rank
 from finsetrep.arnold import arnold_module
 from finsetrep.repmod import (
     CatModule, FunctorialityError, check_functoriality, elementary_keys, elementary_shape,
-    from_elementary, restrict,
+    from_elementary, restrict, to_elementary,
 )
 from finsetrep.simples import make_simple
 
@@ -216,18 +216,23 @@ def test_round_trip_preserves_dims_and_ranks():
 # built on a left kernel of its predecessor with fractional entries
 FRACTIONAL_SEEDS = (12, 24, 29)
 
-def conormalize_fixtures():
+def _elementary_copy(V):
+    return from_elementary(V.category, V.max_level, V.dims, to_elementary(V))
+
+
+def conormalize_fixtures(build=lambda V: V):
     """Delta modules whose conormalized complexes are pinned in
-    ``data/conormalized.json``."""
+    ``data/conormalized.json``; ``build`` is applied to each module before
+    it is restricted to Delta."""
     out = {}
     for name, k in (("C1", 1), ("C2", 2), ("C3", 3), ("D1", None)):
-        out[name] = restrict(make_simple("D1" if k is None else "Ck", 5, k=k), "psi")
+        out[name] = restrict(build(make_simple("D1" if k is None else "Ck", 5, k=k)), "psi")
     for i in range(3):
-        out["H%d" % i] = restrict(restrict(arnold_module(i, 6), "phi"), "psi")
+        out["H%d" % i] = restrict(restrict(build(arnold_module(i, 6)), "phi"), "psi")
     for seed in FRACTIONAL_SEEDS:
         c = random_complex(random.Random(seed), dim_max=4)
         assert any(x.denominator != 1 for d in c.diffs for row in d.data for x in row)
-        out["realize-%d" % seed] = realize(c, c.top + 2)
+        out["realize-%d" % seed] = build(realize(c, c.top + 2))
     return out
 
 
@@ -236,6 +241,11 @@ def test_conormalized_complexes_match_the_recorded_text():
     got = {name: write_complex(conormalize(V)) for name, V in conormalize_fixtures().items()}
     assert got == recorded
     assert any("/" in text.split("\n", 1)[1] for text in got.values())
+    # elementary copies reach Delta by relabeling their blocks, not through
+    # the rules the text was recorded from
+    copies = conormalize_fixtures(_elementary_copy)
+    assert all(V._elementary is not None for V in copies.values())
+    assert {name: write_complex(conormalize(V)) for name, V in copies.items()} == recorded
 
 
 def test_conormalize_refuses_a_coface_sum_leaving_the_kernels():

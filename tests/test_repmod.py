@@ -12,7 +12,7 @@ import pytest
 from finsetrep import repmod, simples
 from finsetrep.arnold import arnold_module
 from finsetrep.catcore import (
-    DELTA, F, FI, N, SetMap, compose_in, enumerate_hom, factorize, format_mor,
+    DELTA, F, FI, N, SetMap, compose_in, enumerate_hom, factorize, forget, format_mor,
     hom_count, identity_n, injection_chain, lift, permutation_chain, surjection_chain,
 )
 from finsetrep.doldkan import CochainComplex, realize
@@ -25,7 +25,9 @@ from finsetrep.repmod import (
     to_elementary, write_module,
 )
 from finsetrep.simples import descends_through_phi, make_simple, order_sign_module
-from helpers import dense_blocks, sparse_blocks
+from helpers import (
+    dense_blocks, descent_walk, sampled_walk, sparse_blocks, tensor_t2_module,
+)
 
 
 def injective_pushforward_module(max_level, k):
@@ -706,6 +708,39 @@ def test_trials_equal_to_the_pair_count_make_the_check_exhaustive():
     assert tuple(format_mor(m) for m in report.counterexample) == witness
 
 
+def _pair_total(V):
+    cat = V.category
+    return sum(hom_count(cat, a, b) * hom_count(cat, b, c)
+               for a in V.levels for b in V.levels for c in V.levels)
+
+
+@pytest.mark.parametrize("name", list(FACTOR_TABLE_FIXTURES))
+def test_sampled_check_gives_the_report_of_its_draws(name):
+    # a certified elementary module returns without drawing; the report
+    # must be the one the draws give, failing or passing
+    V = FACTOR_TABLE_FIXTURES[name]
+    trials = [t for t in (1, 37, 500) if t < _pair_total(V)]
+    assert trials
+    for t in trials:
+        for seed in range(3):
+            report = check_functoriality(V, trials=t, seed=seed)
+            assert not report.exhaustive
+            assert str(report) == str(sampled_walk(V, t, seed)), (t, seed)
+
+
+def test_sampled_fixtures_cover_both_verdicts_and_missed_corruptions():
+    # a corrupted module that its draws miss fails its relations all the
+    # same, and must still be reported as the draws saw it
+    verdicts = {(name, t, seed): sampled_walk(V, t, seed).passed
+                for name, V in FACTOR_TABLE_FIXTURES.items()
+                for t in (1, 37, 500) if t < _pair_total(V) for seed in range(3)}
+    good = {key for key in verdicts if "!" not in key[0]}
+    assert all(verdicts[key] for key in good)
+    missed = {key for key in set(verdicts) - good if verdicts[key]}
+    assert missed and len(missed) < len(verdicts) - len(good)
+    assert not any(repmod._relations_certify(FACTOR_TABLE_FIXTURES[name]) for name, _, _ in missed)
+
+
 def test_a_pair_walk_that_contradicts_the_relations_is_an_internal_error(monkeypatch):
     def reject(V):
         raise FunctorialityError("rejected")
@@ -919,6 +954,78 @@ def test_restrict_phi_collapses_equal_underlying_maps():
                 if key in seen:
                     assert mat == seen[key]
                 seen[key] = mat
+
+
+def _descent_fixtures():
+    """The elementary N-modules of ``FACTOR_TABLE_FIXTURES``, and the phi
+    relabel of each elementary F-module there."""
+    out = {}
+    for name, V in FACTOR_TABLE_FIXTURES.items():
+        if V.category is N:
+            out[name] = V
+        elif V.category is F:
+            out[name + "|N"] = restrict(V, "phi")
+    return out
+
+
+DESCENT_FIXTURES = _descent_fixtures()
+
+
+@pytest.mark.parametrize("name", list(DESCENT_FIXTURES))
+def test_descent_matches_the_pair_walk(name):
+    V = DESCENT_FIXTURES[name]
+    assert V._elementary is not None
+    for bound in range(V.max_level + 1):
+        assert str(descends_through_phi(V, bound)) == str(descent_walk(V, bound)), bound
+
+
+def test_descent_fixtures_cover_both_verdicts():
+    verdicts = {name: descent_walk(V, V.max_level).passed for name, V in DESCENT_FIXTURES.items()}
+    certified = {name for name, V in DESCENT_FIXTURES.items() if repmod._relations_certify(V)}
+    assert certified == {"C1", "C2", "C3", "D1", "conjugated C2", "H0|N", "H1|N", "H2|N"}
+    assert all(verdicts[name] for name in certified)
+    assert {True, False} <= {verdicts[name] for name in set(verdicts) - certified}
+
+
+T2_WITNESS = "order-sensitive action: 2->1: 1,1 | orders: 1:(1,2) vs 2->1: 1,1 | orders: 1:(2,1)"
+
+
+@pytest.mark.parametrize("top", [3, 4])
+def test_tensor_power_of_t2_is_a_functor_that_does_not_descend(top):
+    L = tensor_t2_module(top)
+    assert L.dims == tuple(3 ** n for n in range(top + 1))
+    E = from_elementary(N, top, L.dims, to_elementary(L))
+    check_relations(E)
+    if top == 3:        # the rule agrees with its elementary copy on every morphism
+        assert repmod._relations_certify(L)
+    assert str(descends_through_phi(E, top)) == str(descent_walk(L, top)) == T2_WITNESS
+
+
+@pytest.mark.parametrize("name", [name for name, V in FACTOR_TABLE_FIXTURES.items()
+                                  if V.category is N])
+def test_psi_relabel_equals_the_lift(name):
+    V = FACTOR_TABLE_FIXTURES[name]
+    W = restrict(V, "psi")
+    assert W._elementary is not None and W.dims == (0,) + V.dims[1:]
+    lifted, relabeled = V.evaluator(), W.evaluator()
+    for a in W.levels:
+        for b in W.levels:
+            for d in enumerate_hom(DELTA, a, b):
+                assert relabeled(d) == lifted(lift(d)), format_mor(d)
+
+
+def test_phi_relabel_of_an_f_functor_equals_the_forgetful_evaluation():
+    functors = {name: V for name, V in FACTOR_TABLE_FIXTURES.items()
+                if V.category is F and repmod._relations_certify(V)}
+    assert list(functors) == ["H0", "H1", "H2"]
+    for name, V in functors.items():
+        W = restrict(V, "phi")
+        assert W._elementary is not None and W.dims == V.dims
+        forgetful, relabeled = V.evaluator(), W.evaluator()
+        for a in W.levels:
+            for b in W.levels:
+                for f in enumerate_hom(N, a, b):
+                    assert relabeled(f) == forgetful(forget(f)), (name, format_mor(f))
 
 
 def test_restrict_category_mismatch():
